@@ -1,4 +1,4 @@
-// Micro-batching benchmark: throughput of the /v1 recommendation API
+// Client-side batching benchmark: throughput of the /v1 recommendation API
 // with and without request batching, at several client concurrency
 // levels (the ISSUE's acceptance bar is the concurrency-16 level).
 //
@@ -8,16 +8,13 @@
 //                 round trip, and snapshot pin.
 //   * batched   — 16-request POST /v1/recommend:batch calls: one HTTP
 //                 round trip, one store MultiGet/MultiPut, and one
-//                 snapshot pin amortised across the batch. The server
-//                 runs the executor in pass-through (each client batch
-//                 executes inline as one service batch — on small hosts
-//                 the cross-connection coalescing queue only adds
-//                 handoff cost; it is exercised by the serving tests and
-//                 index_swap_bench instead).
+//                 snapshot pin amortised across the batch. Each client
+//                 batch executes inline as one service batch; the pod
+//                 never coalesces requests across connections.
 //
-// A final phase measures executor pass-through vs. a direct service
-// call (no HTTP): what batch-size-1 costs over the plain path. The
-// acceptance bar is within 5%.
+// A final phase measures the executor's single-request path vs. a direct
+// service call (no HTTP): what the executor layer costs over the plain
+// path. The acceptance bar is within 5%.
 //
 // Acceptance: batched throughput >= 1.5x serial at concurrency 16.
 #include <atomic>
@@ -151,7 +148,7 @@ int main() {
   const double seconds = bench::SecondsFromEnv(5.0);
   bench::PrintHeader(
       "recommend_batch_bench", "Section 4 (serving latency/throughput)",
-      "micro-batched /v1 API vs the serial request path");
+      "client-batched /v1 API vs the serial request path");
 
   SyntheticConfig data_config;
   data_config.num_items = static_cast<size_t>(2000 * scale);
@@ -181,22 +178,14 @@ int main() {
     PrintLoad("serial (1 request per HTTP call)", serial);
 
     LoadResult batched;
-    double coalescing = 0;
     {
       SerenadeServer server(MakeService(index, catalog), ServerConfig{});
       if (!server.Start().ok()) return 1;
       batched = DriveLoad(server, concurrency, kClientBatch, num_items,
                           seconds);
-      const uint64_t batches = server.executor().batches_executed();
-      coalescing =
-          batches == 0
-              ? 0
-              : static_cast<double>(server.executor().requests_executed()) /
-                    batches;
       server.Stop();
     }
     PrintLoad("batched (16-request :batch calls)", batched);
-    std::printf("    coalescing %.1f req/batch\n", coalescing);
 
     const double speedup = serial.Rps() > 0 ? batched.Rps() / serial.Rps() : 0;
     std::printf("  throughput speedup over serial: %.2fx\n", speedup);
@@ -214,16 +203,14 @@ int main() {
     json.Add("batched_call_p99_us" + suffix,
              static_cast<double>(batched.latency.Percentile(0.99)));
     json.Add("speedup_x" + suffix, speedup);
-    json.Add("coalescing_req_per_batch" + suffix, coalescing);
   }
 
-  // --- pass-through overhead: executor(batch=1) vs direct service ----------
+  // --- pass-through overhead: executor vs direct service -------------------
   bench::PrintSection("pass-through overhead (no HTTP)");
   double direct_us = 0, passthrough_us = 0;
   {
     auto service = MakeService(index, catalog);
-    BatchExecutor executor(service.get(), BatchExecutorConfig{});
-    if (!executor.Start().ok()) return 1;
+    BatchExecutor executor(service.get());
     const size_t iterations =
         std::max<size_t>(2000, static_cast<size_t>(20000 * scale));
 

@@ -77,6 +77,9 @@ size_t ClickTap::buffered() const {
 Status ClickTap::FlushNow() {
   while (true) {
     {
+      // Under ship_mutex_ no batch is in flight, so an empty buffer means
+      // every click observed so far has been acked.
+      std::lock_guard<std::mutex> ship_lock(ship_mutex_);
       std::lock_guard<std::mutex> lock(mutex_);
       if (buffer_.empty()) return Status::Ok();
     }
@@ -85,6 +88,7 @@ Status ClickTap::FlushNow() {
 }
 
 Status ClickTap::ShipOneBatch() {
+  std::lock_guard<std::mutex> ship_lock(ship_mutex_);
   std::vector<PendingClick> batch;
   {
     std::lock_guard<std::mutex> lock(mutex_);
@@ -114,14 +118,11 @@ Status ClickTap::ShipOneBatch() {
   json.EndArray().EndObject();
 
   StatusOr<HttpResponse> response = Status::Internal("unsent");
-  {
-    std::lock_guard<std::mutex> io_lock(io_mutex_);
-    if (Status connect = client_.Connect(config_.builder_port);
-        !connect.ok()) {
-      response = connect;
-    } else {
-      response = client_.Post("/v1/ingest", json.str());
-    }
+  if (Status connect = client_.Connect(config_.builder_port);
+      !connect.ok()) {
+    response = connect;
+  } else {
+    response = client_.Post("/v1/ingest", json.str());
   }
 
   Status result = Status::Ok();
@@ -139,7 +140,6 @@ Status ClickTap::ShipOneBatch() {
     result = Status::Unavailable("builder shed the ingest batch (429)");
   } else {
     ship_failures_.fetch_add(1, std::memory_order_relaxed);
-    std::lock_guard<std::mutex> io_lock(io_mutex_);
     client_.Close();  // force a clean reconnect next attempt
     result = response.ok() ? Status::Unavailable(
                                  "builder ingest returned HTTP " +

@@ -91,6 +91,7 @@ class ClickTap {
   void FlusherLoop();
   /// Pops up to max_batch clicks and ships them; re-queues on failure if
   /// the buffer still has room. Returns kOk when the buffer was empty.
+  /// Takes ship_mutex_, then mutex_.
   Status ShipOneBatch();
 
   const ClickTapConfig config_;
@@ -102,7 +103,9 @@ class ClickTap {
   bool stopping_ = false;
   std::thread flusher_;
 
-  std::mutex io_mutex_;  // serialises the HTTP client (flusher + FlushNow)
+  // Held across a whole ShipOneBatch (pop, send, requeue): serialises the
+  // HTTP client, and lets FlushNow wait out a batch already popped.
+  std::mutex ship_mutex_;
   HttpClient client_;
 
   std::atomic<uint64_t> observed_{0};

@@ -17,7 +17,6 @@ const char* TraceStageName(TraceStage stage) {
     case TraceStage::kRank: return "rank";
     case TraceStage::kSerialize: return "serialize";
     case TraceStage::kForward: return "forward";
-    case TraceStage::kQueueWait: return "queue_wait";
   }
   return "unknown";
 }

@@ -35,9 +35,8 @@ enum class TraceStage {
   kRank,           ///< business rules / ranking
   kSerialize,      ///< response JSON serialization
   kForward,        ///< gateway: backend forwarding (all attempts)
-  kQueueWait,      ///< micro-batch executor: time spent queued
 };
-inline constexpr size_t kNumTraceStages = 9;
+inline constexpr size_t kNumTraceStages = 8;
 
 /// Stable label for a stage (used as the Prometheus `stage` label and in
 /// slow-request log lines).

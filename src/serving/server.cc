@@ -26,7 +26,7 @@ constexpr TraceStage kPodStages[] = {
     TraceStage::kParse,       TraceStage::kStoreGet,
     TraceStage::kStorePut,    TraceStage::kSnapshotPin,
     TraceStage::kKnnRetrieve, TraceStage::kRank,
-    TraceStage::kSerialize,   TraceStage::kQueueWait,
+    TraceStage::kSerialize,
 };
 
 // {"items":[...],"scores":[...]} — the single-recommend success body and
@@ -89,8 +89,7 @@ SerenadeServer::SerenadeServer(std::unique_ptr<SerenadeService> service,
     : service_(std::move(service)),
       config_(config),
       slow_logger_(config.trace) {
-  executor_ = std::make_unique<BatchExecutor>(service_.get(), config_.batch,
-                                              &registry_);
+  executor_ = std::make_unique<BatchExecutor>(service_.get(), &registry_);
   RegisterMetrics();
   BuildRoutes();
 }
@@ -176,12 +175,6 @@ void SerenadeServer::RegisterMetrics() {
         return {{"", FreshnessSeconds(
                          service_->index_manager()
                              .freshness_watermark_unix_ms())}};
-      });
-  registry_.AddCallback(
-      "serenade_shed_responses_total",
-      "requests shed with 429 + Retry-After under overload",
-      MetricType::kCounter, "", [this]() -> std::vector<MetricSample> {
-        return {{"", shed_responses_.load(std::memory_order_relaxed)}};
       });
   registry_.AddCallback(
       "serenade_recommender_pool_size", "idle pooled recommenders",
@@ -347,7 +340,6 @@ void SerenadeServer::BuildRoutes() {
 }
 
 Status SerenadeServer::Start() {
-  SERENADE_RETURN_IF_ERROR(executor_->Start());
   HttpServerOptions http_options = config_.http;
   http_options.retry_after_seconds =
       static_cast<int>(config_.retry_after_seconds);
@@ -374,8 +366,6 @@ void SerenadeServer::Stop() {
   stopping_.store(true);
   if (janitor_.joinable()) janitor_.join();
   if (http_) http_->Stop();
-  // After the listener: accepted requests drain through the executor.
-  if (executor_) executor_->Stop();
 }
 
 void SerenadeServer::RecordStageMetrics(const Trace& trace) {
@@ -394,14 +384,6 @@ HttpResponse SerenadeServer::Handle(const HttpRequest& request) {
 
   HttpResponse response = router_.Dispatch(request, &trace);
   response.headers[kTraceIdHeader] = trace.id();
-
-  // Load-shed contract (S1): every 429 leaving the pod tells clients how
-  // long to back off, and counts into serenade_shed_responses_total.
-  if (response.status == 429) {
-    response.headers["Retry-After"] =
-        std::to_string(config_.retry_after_seconds);
-    shed_responses_.fetch_add(1, std::memory_order_relaxed);
-  }
 
   // Request-level latency metrics cover the recommend routes only, so
   // metrics scrapes and health probes don't dilute the histograms.
@@ -735,8 +717,6 @@ HttpResponse SerenadeServer::HandleStats() {
       .Value(manager.delta_rejects_total())
       .Key("index_freshness_seconds")
       .Value(FreshnessSeconds(manager.freshness_watermark_unix_ms()))
-      .Key("shed_responses")
-      .Value(shed_responses_.load(std::memory_order_relaxed))
       .Key("open_connections")
       .Value(http_ ? http_->stats().open_connections : 0)
       .Key("shed_connections")
@@ -751,8 +731,6 @@ HttpResponse SerenadeServer::HandleStats() {
       .Value(executor_->batches_executed())
       .Key("batched_requests")
       .Value(executor_->requests_executed())
-      .Key("batch_rejected")
-      .Value(executor_->requests_rejected())
       .Key("slow_requests")
       .Value(slow_logger_.slow_requests_seen())
       .Key("ann_ready")

@@ -1,5 +1,5 @@
 // The REST face of a Serenade serving machine: binds a SerenadeService to
-// an HttpServer (through the micro-batching BatchExecutor) and runs the
+// an HttpServer (through the inline BatchExecutor) and runs the
 // background TTL janitor. The API is versioned under /v1:
 //   GET  /v1/recommend?session_id=<key>&item_id=<id>[&consent=true|false]
 //                     [&engine=vmis|ann]
@@ -16,8 +16,8 @@
 //   GET  /v1/healthz  -> {"status":"ok","index_version":N}
 //   GET  /v1/stats    -> request / session-store / index-snapshot counters
 //   GET  /v1/metrics  -> Prometheus text exposition rendered by the shared
-//                        MetricsRegistry (src/obs), including batch
-//                        occupancy, queue wait, and coalescing factor
+//                        MetricsRegistry (src/obs), including client-batch
+//                        counters and sizes
 //   POST /v1/admin/index/reload[?path=<index file>]
 //        -> hot-swaps the serving index with zero downtime
 //   POST /v1/admin/index/delta  -> applies a streaming freshness delta
@@ -73,19 +73,15 @@ struct ServerConfig {
   uint16_t port = 0;  ///< 0 = pick an ephemeral port
   /// Background eviction interval for expired sessions (0 = disabled).
   uint64_t janitor_interval_ms = 0;
-  /// Micro-batching knobs; the default (max_batch_size = 1) is a
-  /// pass-through identical to the pre-batching request path.
-  BatchExecutorConfig batch;
   /// Largest accepted client-side batch (/v1/recommend:batch); larger
   /// requests are rejected with 413.
   size_t max_batch_items = 128;
   /// Slow-request logging policy (threshold 0 = disabled).
   TraceConfig trace;
-  /// Retry-After stamped on every 429 (load-shed) response, seconds.
+  /// Retry-After stamped on every 503 connection-shed response, seconds.
   uint64_t retry_after_seconds = 1;
   /// Reactor tuning (connection cap, idle/deadline timeouts, thread
-  /// counts); the 503 connection-shed Retry-After mirrors
-  /// retry_after_seconds.
+  /// counts).
   HttpServerOptions http;
 };
 
@@ -208,9 +204,6 @@ class SerenadeServer {
   /// Click->servable freshness latency, recorded when an applied delta
   /// carries observe timestamps for its newly sealed sessions.
   MetricHistogram* click_to_servable_ms_ = nullptr;
-  /// 429 responses that left this pod (load shedding), for the
-  /// serenade_shed_responses_total counter.
-  std::atomic<uint64_t> shed_responses_{0};
   std::function<void(const std::string&, ItemId)> click_observer_;
   SlowRequestLogger slow_logger_;
   WriteHooks write_hooks_;

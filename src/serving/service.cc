@@ -6,8 +6,6 @@
 #include <unordered_map>
 #include <utility>
 
-#include "common/stopwatch.h"
-
 namespace serenade {
 
 const char* EngineName(EngineKind engine) {
@@ -241,14 +239,10 @@ StatusOr<std::vector<ScoredItem>> SerenadeService::HandleUpdateAndRecommend(
 
 std::vector<StatusOr<std::vector<ScoredItem>>>
 SerenadeService::HandleUpdateAndRecommendBatch(
-    const std::vector<RecommendRequest>& requests,
-    const std::vector<Trace*>& traces) {
+    const std::vector<RecommendRequest>& requests) {
   std::vector<StatusOr<std::vector<ScoredItem>>> results(
       requests.size(), Status::Internal("batch slot not filled"));
   if (requests.empty()) return results;
-  auto trace_for = [&](size_t i) -> Trace* {
-    return i < traces.size() ? traces[i] : nullptr;
-  };
 
   // Validate every slot first; only valid slots join the batched IO.
   std::vector<size_t> valid;
@@ -276,16 +270,7 @@ SerenadeService::HandleUpdateAndRecommendBatch(
   }
   std::vector<std::string> stored;
   std::vector<bool> found;
-  {
-    Stopwatch watch;
-    store_->MultiGet(keys, &stored, &found);
-    const uint64_t micros = watch.ElapsedMicros();
-    for (size_t i : valid) {
-      if (Trace* trace = trace_for(i)) {
-        trace->Record(TraceStage::kStoreGet, micros);
-      }
-    }
-  }
+  store_->MultiGet(keys, &stored, &found);
 
   std::vector<EvolvingSession> sessions(keys.size());
   for (size_t k = 0; k < keys.size(); ++k) {
@@ -314,19 +299,9 @@ SerenadeService::HandleUpdateAndRecommendBatch(
   for (size_t k = 0; k < keys.size(); ++k) {
     entries.emplace_back(keys[k], EncodeSession(sessions[k]));
   }
-  {
-    Stopwatch watch;
-    const Status put_status = store_->MultiPut(entries);
-    const uint64_t micros = watch.ElapsedMicros();
-    for (size_t i : valid) {
-      if (Trace* trace = trace_for(i)) {
-        trace->Record(TraceStage::kStorePut, micros);
-      }
-    }
-    if (!put_status.ok()) {
-      for (size_t i : valid) results[i] = put_status;
-      return results;
-    }
+  if (const Status put_status = store_->MultiPut(entries); !put_status.ok()) {
+    for (size_t i : valid) results[i] = put_status;
+    return results;
   }
 
   // Step 3, batched: one snapshot pin per retrieval family and one pooled
@@ -340,7 +315,6 @@ SerenadeService::HandleUpdateAndRecommendBatch(
     any_ann |= resolved[i] == EngineKind::kAnn;
   }
 
-  Stopwatch pin_watch;
   const std::shared_ptr<const IndexSnapshot> snapshot = manager_->Current();
   PooledRecommender entry = AcquireRecommender(snapshot);
   std::shared_ptr<const EmbeddingSnapshot> embedding_snapshot;
@@ -351,24 +325,14 @@ SerenadeService::HandleUpdateAndRecommendBatch(
                                            &embedding_snapshot->ann(),
                                            config_.ann);
   }
-  const uint64_t pin_micros = pin_watch.ElapsedMicros();
-  for (size_t i : valid) {
-    if (Trace* trace = trace_for(i)) {
-      trace->Record(TraceStage::kSnapshotPin, pin_micros);
-    }
-  }
 
   for (size_t i : valid) {
-    Trace* trace = trace_for(i);
-    Span knn_span(trace, TraceStage::kKnnRetrieve);
     Recommender& engine =
         resolved[i] == EngineKind::kAnn
             ? static_cast<Recommender&>(*ann)
             : static_cast<Recommender&>(*entry.recommender);
     const std::vector<ScoredItem> raw =
         engine.RecommendNext(predict[i], config_.rules.max_items * 2 + 8);
-    knn_span.End();
-    Span rank_span(trace, TraceStage::kRank);
     results[i] = ApplyBusinessRules(raw, catalog_, config_.rules);
   }
   ReleaseRecommender(std::move(entry));

@@ -98,19 +98,15 @@ class SerenadeService {
   StatusOr<std::vector<ScoredItem>> HandleUpdateAndRecommend(
       const RecommendRequest& request, Trace* trace = nullptr);
 
-  /// Micro-batched variant (the BatchExecutor fast path): amortises the
+  /// Batched variant (client-side :batch calls): amortises the
   /// per-request fixed costs across `requests` by doing one store
   /// MultiGet, one MultiPut, one snapshot pin, and one recommender-pool
   /// checkout for the whole batch, then scoring each item. Per-item
   /// failures (validation, a failed WAL write) surface in that slot only
   /// — one bad request never fails its batch siblings. Duplicate session
   /// keys are applied in batch order, so results match sequential calls.
-  /// `traces` may be empty (all untraced) or requests.size() entries
-  /// (null allowed); batch-wide stages (store_get/store_put/snapshot_pin)
-  /// record their full duration into every traced slot.
   std::vector<StatusOr<std::vector<ScoredItem>>>
-  HandleUpdateAndRecommendBatch(const std::vector<RecommendRequest>& requests,
-                                const std::vector<Trace*>& traces = {});
+  HandleUpdateAndRecommendBatch(const std::vector<RecommendRequest>& requests);
 
   /// Reads the stored evolving session (diagnostics / tests).
   StatusOr<EvolvingSession> GetSession(const std::string& session_key);

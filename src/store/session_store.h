@@ -90,7 +90,7 @@ class SessionStore {
                 const std::function<std::string(const std::string&)>& mutator,
                 Trace* trace = nullptr);
 
-  /// Batched point reads for the micro-batch executor: fills
+  /// Batched point reads for the service batch path: fills
   /// `(*values)[i]` / `(*found)[i]` for `keys[i]`, grouping keys by shard
   /// so each shard lock is taken once per batch instead of once per key.
   /// Found entries get their TTL refreshed exactly like Get(); missing or

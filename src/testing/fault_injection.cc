@@ -30,8 +30,6 @@ const char* FaultSiteName(FaultSite site) {
       return "wal_replay_short_read";
     case FaultSite::kStoreMultiPut:
       return "store_multi_put";
-    case FaultSite::kBatchQueueFull:
-      return "batch_queue_full";
     case FaultSite::kDeltaTruncate:
       return "delta_truncate";
     case FaultSite::kDeltaLineageMismatch:

@@ -22,7 +22,6 @@
 //   kWalSyncFail        WalWriter::Sync          flush fails
 //   kWalReplayShortRead ReplayWal                replay sees a short read
 //   kStoreMultiPut      SessionStore::MultiPut   batched write fails
-//   kBatchQueueFull     BatchExecutor::SubmitAsync  forced load shedding
 //   kDeltaTruncate      DeltaFetcher::PollOnce   delta bytes truncated in flight
 //   kDeltaLineageMismatch  IndexBuilderServer::HandleDeltaLatest  wrong base version served
 //   kDeltaPublishCrash  DeltaBuilder publish     builder dies mid-publish (torn file)
@@ -54,7 +53,6 @@ enum class FaultSite : uint8_t {
   kWalSyncFail,
   kWalReplayShortRead,
   kStoreMultiPut,
-  kBatchQueueFull,
   kDeltaTruncate,
   kDeltaLineageMismatch,
   kDeltaPublishCrash,

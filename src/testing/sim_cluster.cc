@@ -111,7 +111,6 @@ Status SimCluster::StartPod(Pod& pod, uint16_t port) {
 
   ServerConfig server_config;
   server_config.port = port;
-  server_config.batch = config_.batch;
   pod.server = std::make_unique<SerenadeServer>(std::move(service).value(),
                                                 server_config);
 

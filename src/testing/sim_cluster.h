@@ -92,8 +92,6 @@ struct SimClusterConfig {
   SessionStoreOptions store;
   /// Directory for pod WAL files; created by the test (TempDir).
   std::string work_dir;
-  /// Per-pod micro-batching knobs.
-  BatchExecutorConfig batch;
   /// Gateway knobs; tests usually shorten health.probe_interval_ms.
   GatewayConfig gateway;
   size_t max_items = 21;

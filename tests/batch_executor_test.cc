@@ -1,19 +1,9 @@
-// BatchExecutor: the micro-batching layer between the HTTP routes and
-// SerenadeService. The contracts under test:
-//   * batch-size-1 is an exact pass-through of the serial request path,
+// BatchExecutor and the service batch path beneath it. The contracts
+// under test:
+//   * a single request through the executor is exactly the serial path,
 //   * batched execution returns the same recommendations as serial,
-//   * duplicate session keys in one batch apply their clicks in order
-//     (session-key worker affinity),
-//   * one invalid slot never fails its siblings (per-slot StatusOr),
-//   * a stopped executor sheds with kUnavailable; an overflowing queue
-//     sheds with kResourceExhausted (HTTP 429 + Retry-After).
-//
-// Batch-composition tests run on a VirtualBatchClock: the coalescing
-// window opens and closes only when the test says so, which turns "the
-// worker waited long enough" from a scheduler gamble into a determined
-// fact — the same batches form on every run, under every sanitizer.
-#include <atomic>
-#include <thread>
+//   * duplicate session keys in one batch apply their clicks in order,
+//   * one invalid slot never fails its siblings (per-slot StatusOr).
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -21,8 +11,6 @@
 #include "data/synthetic.h"
 #include "serving/batch_executor.h"
 #include "serving/service.h"
-#include "testing/fault_injection.h"
-#include "testing/virtual_clock.h"
 
 namespace serenade {
 namespace {
@@ -62,13 +50,11 @@ std::vector<ItemId> Items(const std::vector<ScoredItem>& scored) {
 }
 
 TEST_F(BatchExecutorTest, PassthroughMatchesSerialPath) {
-  // Two identical services over the same index: one driven through a
-  // pass-through executor, one called directly. Same clicks, same answers.
+  // Two identical services over the same index: one driven through the
+  // executor, one called directly. Same clicks, same answers.
   auto batched_service = MakeService();
   auto serial_service = MakeService();
-  BatchExecutor executor(batched_service.get(), BatchExecutorConfig{});
-  ASSERT_TRUE(executor.passthrough());
-  ASSERT_TRUE(executor.Start().ok());
+  BatchExecutor executor(batched_service.get());
 
   for (ItemId item : {3u, 4u, 5u, 17u}) {
     const RecommendRequest request{"visitor", item, true};
@@ -78,7 +64,7 @@ TEST_F(BatchExecutorTest, PassthroughMatchesSerialPath) {
     ASSERT_TRUE(direct.ok());
     EXPECT_EQ(Items(*via_executor), Items(*direct));
   }
-  // Pass-through never touches the batch counters.
+  // Single requests never touch the client-batch counters.
   EXPECT_EQ(executor.batches_executed(), 0u);
 }
 
@@ -130,188 +116,6 @@ TEST_F(BatchExecutorTest, OneBadSlotNeverFailsSiblings) {
   // The valid slots still updated their sessions.
   EXPECT_EQ(*service->GetSession("ok-1"), (EvolvingSession{5}));
   EXPECT_EQ(*service->GetSession("ok-3"), (EvolvingSession{7}));
-}
-
-TEST_F(BatchExecutorTest, CoalescingWindowFillsIntoExactlyOneBatch) {
-  auto service = MakeService();
-  BatchExecutorConfig config;
-  config.max_batch_size = 5;
-  // Virtual microseconds: this window NEVER expires unless the test
-  // advances the clock, so a full batch is the only way out.
-  config.max_delay_us = 60'000'000;
-  config.num_workers = 1;
-  VirtualBatchClock clock;
-  BatchExecutor executor(service.get(), config, nullptr, &clock);
-  ASSERT_FALSE(executor.passthrough());
-  ASSERT_TRUE(executor.Start().ok());
-
-  std::atomic<size_t> ok_count{0};
-  std::vector<std::thread> threads;
-  threads.emplace_back([&] {
-    if (executor.Execute({"virt-0", 1, true}).ok()) ok_count.fetch_add(1);
-  });
-  // Handshake: the worker holds the first request inside its coalescing
-  // window. Nothing has run yet — guaranteed, not hoped.
-  clock.AwaitWaiters(1);
-  EXPECT_EQ(executor.batches_executed(), 0u);
-  for (int t = 1; t < 5; ++t) {
-    threads.emplace_back([&, t] {
-      const RecommendRequest request{"virt-" + std::to_string(t),
-                                     static_cast<ItemId>(1 + t), true};
-      if (executor.Execute(request).ok()) ok_count.fetch_add(1);
-    });
-  }
-  for (auto& thread : threads) thread.join();
-  executor.Stop();
-
-  EXPECT_EQ(ok_count.load(), 5u);
-  EXPECT_EQ(executor.requests_executed(), 5u);
-  // Virtual time never moved, so the only exit from the window was the
-  // batch filling: all five requests coalesced into one batch.
-  EXPECT_EQ(executor.batches_executed(), 1u);
-}
-
-TEST_F(BatchExecutorTest, WindowExpiryFlushesAPartialBatch) {
-  auto service = MakeService();
-  BatchExecutorConfig config;
-  config.max_batch_size = 8;
-  config.max_delay_us = 5000;
-  config.num_workers = 1;
-  VirtualBatchClock clock;
-  BatchExecutor executor(service.get(), config, nullptr, &clock);
-  ASSERT_TRUE(executor.Start().ok());
-
-  std::thread submitter([&] {
-    auto result = executor.Execute({"lone", 9, true});
-    EXPECT_TRUE(result.ok()) << result.status().ToString();
-  });
-  clock.AwaitWaiters(1);
-  EXPECT_EQ(executor.batches_executed(), 0u);
-  // The window expires exactly now — a partial batch of one flushes.
-  clock.AdvanceMicros(config.max_delay_us);
-  submitter.join();
-  executor.Stop();
-
-  EXPECT_EQ(executor.requests_executed(), 1u);
-  EXPECT_EQ(executor.batches_executed(), 1u);
-}
-
-TEST_F(BatchExecutorTest, ConcurrentLoadDrainsEveryRequestInOrder) {
-  // Real-clock stress: correctness only — no batch-count assertions,
-  // those live in the virtual-clock tests above.
-  auto service = MakeService();
-  BatchExecutorConfig config;
-  config.max_batch_size = 8;
-  config.max_delay_us = 200;
-  config.num_workers = 2;
-  BatchExecutor executor(service.get(), config);
-  ASSERT_TRUE(executor.Start().ok());
-
-  constexpr size_t kThreads = 16;
-  constexpr size_t kPerThread = 8;
-  std::atomic<size_t> failures{0};
-  std::vector<std::thread> threads;
-  for (size_t t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&, t] {
-      for (size_t i = 0; i < kPerThread; ++i) {
-        const RecommendRequest request{
-            "load-" + std::to_string(t),
-            static_cast<ItemId>(1 + (t * kPerThread + i) % 200), true};
-        if (!executor.Execute(request).ok()) failures.fetch_add(1);
-      }
-    });
-  }
-  for (auto& thread : threads) thread.join();
-  executor.Stop();
-
-  EXPECT_EQ(failures.load(), 0u);
-  EXPECT_EQ(executor.requests_executed(), kThreads * kPerThread);
-  // Worker affinity kept each session's clicks ordered.
-  for (size_t t = 0; t < kThreads; ++t) {
-    auto session = service->GetSession("load-" + std::to_string(t));
-    ASSERT_TRUE(session.ok());
-    EXPECT_EQ(session->size(), kPerThread);
-  }
-}
-
-TEST_F(BatchExecutorTest, NotStartedAndStoppedShedWithUnavailable) {
-  auto service = MakeService();
-  BatchExecutorConfig config;
-  config.max_batch_size = 4;
-  BatchExecutor executor(service.get(), config);
-
-  // Batch mode before Start(): requests are shed, not deadlocked.
-  auto early = executor.Execute({"early", 3, true});
-  EXPECT_EQ(early.status().code(), StatusCode::kUnavailable);
-
-  ASSERT_TRUE(executor.Start().ok());
-  EXPECT_TRUE(executor.Execute({"mid", 3, true}).ok());
-  executor.Stop();
-  auto late = executor.Execute({"late", 3, true});
-  EXPECT_EQ(late.status().code(), StatusCode::kUnavailable);
-}
-
-TEST_F(BatchExecutorTest, ExecuteBatchPreservesSlotOrder) {
-  auto service = MakeService();
-  BatchExecutorConfig config;
-  config.max_batch_size = 4;
-  config.max_delay_us = 500;  // virtual: only full batches release
-  config.num_workers = 1;
-  VirtualBatchClock clock;
-  BatchExecutor executor(service.get(), config, nullptr, &clock);
-  ASSERT_TRUE(executor.Start().ok());
-
-  std::vector<RecommendRequest> requests;
-  for (ItemId item = 1; item <= 12; ++item) {
-    requests.push_back({"batch-" + std::to_string(item % 5), item, true});
-  }
-  requests[4].session_key.clear();  // one poisoned slot
-
-  auto results = executor.ExecuteBatch(requests);
-  ASSERT_EQ(results.size(), requests.size());
-  for (size_t i = 0; i < results.size(); ++i) {
-    if (i == 4) {
-      EXPECT_EQ(results[i].status().code(), StatusCode::kInvalidArgument);
-    } else {
-      EXPECT_TRUE(results[i].ok()) << "slot " << i << ": "
-                                   << results[i].status().ToString();
-    }
-  }
-  // 12 requests through one worker whose window never expires: the only
-  // way out is filling up, so the split is exactly three batches of 4.
-  EXPECT_EQ(executor.batches_executed(), 3u);
-  executor.Stop();
-}
-
-TEST_F(BatchExecutorTest, InjectedQueueFullShedsDeterministically) {
-  auto service = MakeService();
-  BatchExecutorConfig config;
-  config.max_batch_size = 4;
-  config.num_workers = 1;  // max_delay_us = 0: drain immediately
-  BatchExecutor executor(service.get(), config);
-  ASSERT_TRUE(executor.Start().ok());
-
-  ScopedFaultInjector injector(99);
-  injector->Arm(FaultSite::kBatchQueueFull, FaultRule{1.0, 2, 0});
-  // ExecuteBatch submits slots in order, so the two-fault budget lands
-  // exactly on slots 0 and 1; shedding never fails the siblings.
-  std::vector<RecommendRequest> requests;
-  for (ItemId item = 1; item <= 6; ++item) {
-    requests.push_back({"shed-" + std::to_string(item), item, true});
-  }
-  auto results = executor.ExecuteBatch(requests);
-  ASSERT_EQ(results.size(), 6u);
-  EXPECT_EQ(results[0].status().code(), StatusCode::kResourceExhausted);
-  EXPECT_EQ(results[1].status().code(), StatusCode::kResourceExhausted);
-  for (size_t i = 2; i < results.size(); ++i) {
-    EXPECT_TRUE(results[i].ok()) << "slot " << i;
-  }
-  EXPECT_EQ(executor.requests_rejected(), 2u);
-  EXPECT_EQ(executor.requests_executed(), 4u);
-
-  // Budget exhausted: the path is clean again.
-  EXPECT_TRUE(executor.Execute({"after-shed", 3, true}).ok());
-  executor.Stop();
 }
 
 }  // namespace

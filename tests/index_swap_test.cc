@@ -219,7 +219,7 @@ TEST(IndexSwapTest, AdminReloadUnderLoadIsZeroDowntime) {
   std::filesystem::remove(ManifestPathFor(path_b));
 }
 
-// The micro-batched request path holds exactly one snapshot pin per batch
+// A client-side :batch call holds exactly one snapshot pin per batch
 // instead of one per request; hot swaps under batched load must stay
 // zero-downtime all the same, and batch slots may never mix snapshots
 // mid-batch (the pin is taken once and shared).
@@ -247,11 +247,7 @@ TEST(IndexSwapTest, BatchedTrafficSurvivesHotSwaps) {
       config);
   ASSERT_TRUE(service.ok()) << service.status().ToString();
 
-  ServerConfig server_config;
-  server_config.batch.max_batch_size = 8;
-  server_config.batch.max_delay_us = 1000;
-  server_config.batch.num_workers = 2;
-  SerenadeServer server(std::move(service).value(), server_config);
+  SerenadeServer server(std::move(service).value(), ServerConfig{});
   ASSERT_TRUE(server.Start().ok());
 
   std::atomic<bool> stop{false};

@@ -68,9 +68,6 @@ SimClusterConfig ReplicationConfig(const std::string& work_dir) {
   config.knn.k = 10;
   config.work_dir = work_dir;
   config.store.sync_every_write = true;
-  config.batch.max_batch_size = 4;
-  config.batch.max_delay_us = 300;
-  config.batch.num_workers = 2;
   config.gateway.health.probe_interval_ms = 20;
   config.gateway.health.probe_timeout_ms = 250;
   config.gateway.health.failures_to_eject = 2;
@@ -346,6 +343,34 @@ TEST(ReplicationTest, ShippingFaultsNeverBreakByteParity) {
           << injector->fires(FaultSite::kReplShipTruncate);
       (void)sim.pod_repl(0)->shipper().FlushNow();
       (void)sim.pod_repl(1)->shipper().FlushNow();
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    }
+  }
+
+  // Precondition for phase 2: each shipper has had a 200 ack and holds
+  // no unshipped bytes. A shipper still announcing a reset would have its
+  // resend accepted with 200 instead of rewound with 409. The direct
+  // clicks give each pod's WAL something to ship, whatever the ring
+  // routed above.
+  for (size_t pod = 0; pod < 2; ++pod) {
+    auto status = SendClick(sim.pod_port(pod),
+                            "primed-" + std::to_string(pod), 4);
+    ASSERT_TRUE(status.ok()) << status.status().ToString();
+    ASSERT_EQ(*status, 200);
+  }
+  {
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    auto acked = [&](size_t pod) {
+      const WalShipper& shipper = sim.pod_repl(pod)->shipper();
+      return shipper.lag_bytes() == 0 && shipper.stats().batches_shipped >= 1;
+    };
+    while (true) {
+      (void)sim.pod_repl(0)->shipper().FlushNow();
+      (void)sim.pod_repl(1)->shipper().FlushNow();
+      if (acked(0) && acked(1)) break;
+      ASSERT_LT(std::chrono::steady_clock::now(), deadline)
+          << "shippers never caught up after the truncation phase";
       std::this_thread::sleep_for(std::chrono::milliseconds(5));
     }
   }

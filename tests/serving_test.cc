@@ -1,6 +1,7 @@
 #include <atomic>
 #include <filesystem>
 #include <set>
+#include <sstream>
 #include <thread>
 
 #include <gtest/gtest.h>
@@ -563,14 +564,16 @@ TEST_F(V1ApiTest, OversizedBatchGets413) {
 }
 
 TEST_F(V1ApiTest, MicroBatchingServerServesConcurrentLoad) {
-  ServerConfig server_config;
-  server_config.batch.max_batch_size = 8;
-  server_config.batch.max_delay_us = 2000;
-  server_config.batch.num_workers = 2;
-  StartServer(server_config);
+  // The default server under concurrent single-click load: every request
+  // runs inline on its connection, so each session's clicks land in the
+  // order its client sent them.
+  StartServer();
 
   constexpr size_t kThreads = 8;
   constexpr size_t kPerThread = 10;
+  auto item_for = [](size_t t, size_t i) {
+    return static_cast<ItemId>(1 + (t * kPerThread + i) % 200);
+  };
   std::atomic<size_t> errors{0};
   std::vector<std::thread> threads;
   for (size_t t = 0; t < kThreads; ++t) {
@@ -583,27 +586,41 @@ TEST_F(V1ApiTest, MicroBatchingServerServesConcurrentLoad) {
       for (size_t i = 0; i < kPerThread; ++i) {
         auto response =
             client.Get("/v1/recommend?session_id=load-" + std::to_string(t) +
-                       "&item_id=" + std::to_string(1 + (i % 50)));
+                       "&item_id=" + std::to_string(item_for(t, i)));
         if (!response.ok() || response->status != 200) errors.fetch_add(1);
       }
     });
   }
   for (auto& thread : threads) thread.join();
   EXPECT_EQ(errors.load(), 0u);
-  EXPECT_EQ(server_->executor().requests_executed(), kThreads * kPerThread);
 
-  // Batch-path metrics surfaced on /v1/metrics.
+  for (size_t t = 0; t < kThreads; ++t) {
+    EvolvingSession sent;
+    for (size_t i = 0; i < kPerThread; ++i) sent.push_back(item_for(t, i));
+    auto session = server_->service().GetSession("load-" + std::to_string(t));
+    ASSERT_TRUE(session.ok()) << "session " << t;
+    EXPECT_EQ(*session, sent) << "session " << t;
+  }
+
+  // No queue stage on /v1/metrics, and the batch and shed families are
+  // exactly the client-batch counters plus the reactor's connection shed.
   auto metrics = client_.Get("/v1/metrics");
   ASSERT_TRUE(metrics.ok());
-  for (const char* family :
-       {"serenade_batches_total", "serenade_batch_requests_total",
-        "serenade_batch_coalescing_factor_x100",
-        "serenade_batch_queue_wait_microseconds"}) {
-    EXPECT_NE(metrics->body.find(family), std::string::npos)
-        << "missing " << family;
+  EXPECT_EQ(metrics->body.find("stage=\"queue_wait\""), std::string::npos);
+  std::set<std::string> families;
+  std::istringstream lines(metrics->body);
+  for (std::string line; std::getline(lines, line);) {
+    if (line.rfind("# TYPE serenade_batch", 0) != 0 &&
+        line.rfind("# TYPE serenade_shed", 0) != 0) {
+      continue;
+    }
+    families.insert(line.substr(7, line.find(' ', 7) - 7));
   }
-  // queue_wait joined the per-stage latency families.
-  EXPECT_NE(metrics->body.find("stage=\"queue_wait\""), std::string::npos);
+  EXPECT_EQ(families,
+            (std::set<std::string>{"serenade_batch_requests_total",
+                                   "serenade_batch_size",
+                                   "serenade_batches_total",
+                                   "serenade_shed_connections_total"}));
 }
 
 }  // namespace

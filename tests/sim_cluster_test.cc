@@ -64,11 +64,6 @@ SimClusterConfig TortureConfig(const std::string& work_dir) {
   config.knn.k = 10;
   config.work_dir = work_dir;
   config.store.sync_every_write = true;
-  // Micro-batching on, so pod kills land mid-batch-window, not only
-  // between requests.
-  config.batch.max_batch_size = 4;
-  config.batch.max_delay_us = 300;
-  config.batch.num_workers = 2;
   config.gateway.health.probe_interval_ms = 20;
   config.gateway.health.probe_timeout_ms = 250;
   config.gateway.health.failures_to_eject = 2;

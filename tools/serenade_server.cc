@@ -3,7 +3,6 @@
 //   serenade_server --index session.index [--port 8080] [--m 500]
 //       [--k 100] [--ttl 1800] [--max-items 21] [--wal sessions.wal]
 //       [--slow-request-us 0] [--slow-sample-every 1]
-//       [--batch-max-size 1] [--batch-max-delay-us 0] [--batch-workers 2]
 //       [--max-batch-items 128]
 //       [--builder-port 0] [--delta-poll-ms 1000]
 //       [--max-connections 10000] [--idle-timeout-ms 60000]
@@ -44,10 +43,10 @@
 // The unversioned paths still answer (byte-identical) but are stamped
 // `Deprecation: true`.
 //
-// --batch-max-size > 1 turns on the micro-batching executor: concurrent
-// requests coalesce (waiting up to --batch-max-delay-us for a full batch)
-// into one session-store round trip and one snapshot pin per batch. The
-// default of 1 is an exact pass-through of the serial request path.
+// Every request runs inline on the HTTP worker thread that handles it;
+// the pod never coalesces requests across connections. Clients amortise
+// the store round trip and snapshot pin with POST /v1/recommend:batch (at
+// most --max-batch-items slots per call).
 // Runs until SIGINT/SIGTERM.
 #include <algorithm>
 #include <atomic>
@@ -149,11 +148,6 @@ int main(int argc, char** argv) {
   server_config.trace.slow_request_micros = flags.GetInt("slow-request-us", 0);
   server_config.trace.sample_every_n =
       std::max<uint64_t>(1, flags.GetInt("slow-sample-every", 1));
-  server_config.batch.max_batch_size =
-      std::max<uint64_t>(1, flags.GetInt("batch-max-size", 1));
-  server_config.batch.max_delay_us = flags.GetInt("batch-max-delay-us", 0);
-  server_config.batch.num_workers =
-      std::max<uint64_t>(1, flags.GetInt("batch-workers", 2));
   server_config.max_batch_items =
       std::max<uint64_t>(1, flags.GetInt("max-batch-items", 128));
   // Reactor front-door tuning (DESIGN.md §10).
@@ -238,11 +232,11 @@ int main(int argc, char** argv) {
                 pod_name.c_str());
   }
   std::printf(
-      "serving on 127.0.0.1:%u (m=%zu, k=%zu, ttl=%llus, batch=%zu); hot "
-      "swap with curl -X POST 'http://127.0.0.1:%u/v1/admin/reload'\n",
+      "serving on 127.0.0.1:%u (m=%zu, k=%zu, ttl=%llus); hot swap with "
+      "curl -X POST 'http://127.0.0.1:%u/v1/admin/reload'\n",
       server.port(), service_config.knn.m, service_config.knn.k,
       static_cast<unsigned long long>(service_config.store.ttl_seconds),
-      server_config.batch.max_batch_size, server.port());
+      server.port());
   std::printf("kernel dispatch: %s\n", simd::DescribeDispatch().c_str());
 
   std::signal(SIGINT, HandleSignal);
