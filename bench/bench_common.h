@@ -59,14 +59,19 @@ inline const char* BuildType() {
 }
 
 /// Commit under test: SERENADE_GIT_SHA (local override) or GITHUB_SHA
-/// (Actions); "unknown" outside CI.
+/// (Actions), else the `git rev-parse HEAD` taken when CMake configured
+/// the tree (bench/CMakeLists.txt); "unknown" outside a git checkout.
 inline std::string GitSha() {
   for (const char* var : {"SERENADE_GIT_SHA", "GITHUB_SHA"}) {
     if (const char* env = std::getenv(var)) {
       if (env[0] != '\0') return env;
     }
   }
+#if defined(SERENADE_CONFIGURED_GIT_SHA)
+  return SERENADE_CONFIGURED_GIT_SHA;
+#else
   return "unknown";
+#endif
 }
 
 /// Vector ISA levels this CPU offers ("+"-joined), independent of what

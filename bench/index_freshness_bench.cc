@@ -4,8 +4,6 @@
 // incremental maintenance as future work. This bench quantifies both:
 //
 //   stale       index built without the most recent day (production today)
-//   incremental stale index + the most recent day ingested via
-//               UpdatableSessionIndex (the future-work design)
 //   rebuilt     full batch rebuild including the most recent day (upper
 //               bound, what the nightly job would eventually produce)
 //   streaming   stale index + the most recent day streamed through the
@@ -13,9 +11,9 @@
 //               serialized delta artifact -> IndexManager::ApplyDelta,
 //               exactly the bytes-on-the-wire path the fleet runs
 //
-// all evaluated on the held-out final day, plus the ingest throughput of
-// the incremental path and the click->servable latency distribution of
-// the streaming path (the freshness SLO this repo's pipeline targets).
+// all evaluated on the held-out final day, plus the click->servable
+// latency distribution of the streaming path (the freshness SLO this
+// repo's pipeline targets).
 // Honours SERENADE_BENCH_SCALE; writes key metrics to the path in
 // SERENADE_BENCH_JSON for the CI bench-smoke artifact.
 #include <algorithm>
@@ -34,7 +32,6 @@
 #include "freshness/delta_builder.h"
 #include "index/index_format.h"
 #include "index/snapshot.h"
-#include "index/updatable_index.h"
 
 namespace {
 
@@ -52,8 +49,8 @@ using namespace serenade;
 int main() {
   bench::PrintHeader("Experiment E11 (extension)",
                      "Section 4.1 cold start + Section 7 future work",
-                     "Prediction quality: stale vs incrementally maintained "
-                     "vs fully rebuilt index.");
+                     "Prediction quality: stale vs delta-merged vs fully "
+                     "rebuilt index.");
   const double scale = bench::ScaleFromEnv();
 
   SyntheticConfig data_config;
@@ -89,22 +86,11 @@ int main() {
       SessionIndex::Build(stale_train, config.m));
   VmisKnn stale_model(stale_index.get(), config);
 
-  // (b) incremental: ingest the fresh day.
-  UpdatableSessionIndex incremental_index(
-      SessionIndex::Build(stale_train, config.m));
-  Stopwatch ingest_timer;
-  for (const SessionData& session : fresh_day.sessions()) {
-    incremental_index.Ingest(session.items, session.end_time);
-  }
-  const double ingest_seconds = ingest_timer.ElapsedSeconds();
-  VmisKnnT<UpdatableSessionIndex> incremental_model(&incremental_index,
-                                                    config);
-
-  // (c) full rebuild including the fresh day.
+  // (b) full rebuild including the fresh day.
   SessionIndex rebuilt_index = SessionIndex::Build(eval_split.train, config.m);
   VmisKnn rebuilt_model(&rebuilt_index, config);
 
-  // (d) streaming: the fresh day arrives as a click stream through the
+  // (c) streaming: the fresh day arrives as a click stream through the
   // freshness pipeline — sessionized by a DeltaBuilder, compacted into
   // versioned artifacts, round-tripped through the wire codec, and layered
   // over the pinned stale base by IndexManager::ApplyDelta. Each round
@@ -172,8 +158,6 @@ int main() {
   Row rows[] = {
       {"stale (1-day-old batch)",
        EvaluateRecommender(stale_model, eval_day, options)},
-      {"incremental (ingested)",
-       EvaluateRecommender(incremental_model, eval_day, options)},
       {"rebuilt (full batch)",
        EvaluateRecommender(rebuilt_model, eval_day, options)},
       {"streaming (delta overlay)",
@@ -191,11 +175,6 @@ int main() {
                     row.result.latency_micros.Percentile(0.9)));
   }
 
-  bench::PrintSection("incremental maintenance cost");
-  std::printf("ingested %zu sessions in %.3fs (%.0f sessions/sec)\n",
-              fresh_day.num_sessions(), ingest_seconds,
-              fresh_day.num_sessions() / std::max(ingest_seconds, 1e-9));
-
   const double p50_ms = PercentileMs(click_to_servable_ms, 0.50);
   const double p99_ms = PercentileMs(click_to_servable_ms, 0.99);
   bench::PrintSection("streaming freshness pipeline (DESIGN.md §9)");
@@ -209,29 +188,25 @@ int main() {
       static_cast<unsigned long long>(manager->deltas_applied_total()),
       static_cast<unsigned long long>(manager->applied_delta_version()),
       codec_bytes / 1024.0, p50_ms, p99_ms,
-      rows[3].result.metrics.Mrr() - rows[0].result.metrics.Mrr(),
-      rows[2].result.metrics.Mrr() - rows[0].result.metrics.Mrr());
+      rows[2].result.metrics.Mrr() - rows[0].result.metrics.Mrr(),
+      rows[1].result.metrics.Mrr() - rows[0].result.metrics.Mrr());
 
   const bool ordering =
       rows[1].result.metrics.Mrr() >= rows[0].result.metrics.Mrr() - 1e-3 &&
       rows[2].result.metrics.Mrr() >= rows[0].result.metrics.Mrr() - 1e-3 &&
-      rows[3].result.metrics.Mrr() >= rows[0].result.metrics.Mrr() - 1e-3 &&
-      std::abs(rows[1].result.metrics.Mrr() - rows[2].result.metrics.Mrr()) <
+      std::abs(rows[2].result.metrics.Mrr() - rows[1].result.metrics.Mrr()) <
           0.01;
   std::printf(
-      "\nshape check (fresh data helps; incremental ~= rebuilt; streaming "
-      "overlay closes the gap): %s\n",
+      "\nshape check (fresh data helps; streaming overlay ~= rebuilt): "
+      "%s\n",
       ordering ? "REPRODUCED" : "NOT reproduced on this run");
 
   bench::JsonResultWriter json("index_freshness");
   json.Add("stale_mrr", rows[0].result.metrics.Mrr());
-  json.Add("incremental_mrr", rows[1].result.metrics.Mrr());
-  json.Add("rebuilt_mrr", rows[2].result.metrics.Mrr());
-  json.Add("streaming_mrr", rows[3].result.metrics.Mrr());
+  json.Add("rebuilt_mrr", rows[1].result.metrics.Mrr());
+  json.Add("streaming_mrr", rows[2].result.metrics.Mrr());
   json.Add("streaming_lift_vs_stale",
-           rows[3].result.metrics.Mrr() - rows[0].result.metrics.Mrr());
-  json.Add("ingest_sessions_per_sec",
-           fresh_day.num_sessions() / std::max(ingest_seconds, 1e-9));
+           rows[2].result.metrics.Mrr() - rows[0].result.metrics.Mrr());
   json.Add("click_to_servable_p50_ms", p50_ms);
   json.Add("click_to_servable_p99_ms", p99_ms);
   json.Add("deltas_applied",

@@ -1,7 +1,7 @@
 // Future-work features walkthrough (Section 7 of the paper): running the
 // identical VMIS-kNN computation on (a) a compressed in-memory index and
-// (b) an incrementally maintained index that absorbs fresh sessions —
-// including sessions for items that did not exist at batch-build time.
+// (b) an index that absorbs fresh sessions through a streamed delta merge
+// — including sessions for items that did not exist at batch-build time.
 //
 //   $ ./incremental_and_compressed
 #include <cstdio>
@@ -9,7 +9,7 @@
 #include "core/compressed_index.h"
 #include "core/vmis_knn.h"
 #include "data/synthetic.h"
-#include "index/updatable_index.h"
+#include "index/index_format.h"
 
 using namespace serenade;
 
@@ -50,14 +50,23 @@ int main() {
   }
 
   // --- (b) incremental maintenance: fresh sessions, brand-new items ---
-  UpdatableSessionIndex live(SessionIndex::Build(historical, config.m));
   const ItemId new_item = static_cast<ItemId>(historical.num_items() + 7);
-  std::printf("\ningesting 50 fresh sessions pairing new item %u with item "
-              "10...\n", new_item);
+  std::printf("\nmerging a delta of 50 fresh sessions pairing new item %u "
+              "with item 10...\n", new_item);
+  IndexDelta delta;
+  delta.base_version = 1;
+  delta.delta_version = 2;
   for (int i = 0; i < 50; ++i) {
-    live.Ingest({10, new_item}, historical.max_timestamp() + 60 + i);
+    delta.sessions.push_back(DeltaSession{
+        {10, new_item}, historical.max_timestamp() + 60 + i, 0});
   }
-  VmisKnnT<UpdatableSessionIndex> live_model(&live, config);
+  auto live = ApplyDeltaToIndex(flat, delta);
+  if (!live.ok()) {
+    std::fprintf(stderr, "delta merge failed: %s\n",
+                 live.status().ToString().c_str());
+    return 1;
+  }
+  VmisKnn live_model(&*live, config);
   const auto recs = live_model.RecommendNext({10}, 5);
   std::printf("top-5 after item 10 (no nightly rebuild needed):\n");
   for (const ScoredItem& rec : recs) {

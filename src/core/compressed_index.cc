@@ -115,27 +115,6 @@ std::span<const SessionId> CompressedSessionIndex::SessionsForItem(
   return {scratch->data(), scratch->size()};
 }
 
-PostingsRef CompressedSessionIndex::PostingsForItem(
-    ItemId item, PostingScratch* scratch) const {
-  scratch->sessions.clear();
-  scratch->timestamps.clear();
-  if (item >= num_items()) return {};
-  const uint8_t* cursor = postings_arena_.data() + item_offsets_[item];
-  const uint64_t count = GetVarint(&cursor);
-  scratch->sessions.reserve(count);
-  scratch->timestamps.reserve(count);
-  SessionId current = 0;
-  for (uint64_t i = 0; i < count; ++i) {
-    const uint64_t value = GetVarint(&cursor);
-    current = i == 0 ? static_cast<SessionId>(value)
-                     : current - static_cast<SessionId>(value);
-    scratch->sessions.push_back(current);
-    scratch->timestamps.push_back(base_timestamp_ + timestamp_deltas_[current]);
-  }
-  return {scratch->sessions.data(), scratch->timestamps.data(),
-          scratch->sessions.size()};
-}
-
 std::span<const ItemId> CompressedSessionIndex::ItemsForSession(
     SessionId session, std::vector<ItemId>* scratch) const {
   scratch->clear();

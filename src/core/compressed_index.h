@@ -7,8 +7,8 @@
 //   * postings per item are descending session ids (descending recency),
 //     encoded as first id + positive gaps;
 //   * items per session are ascending item ids, encoded likewise.
-// Timestamps stay flat (the query needs O(1) random access); they are
-// however rebased to the minimum and stored as u32 deltas when they fit.
+// Timestamps stay flat (O(1) lookup for the neighbours a query returns);
+// they are however rebased to the minimum and stored as u32 deltas.
 //
 // The compressed index satisfies the same query concept as SessionIndex
 // (see vmis_knn.h), decoding into caller-provided scratch buffers, so
@@ -43,12 +43,6 @@ class CompressedSessionIndex {
   /// session first) and returns a view of it.
   std::span<const SessionId> SessionsForItem(
       ItemId item, std::vector<SessionId>* scratch) const;
-
-  /// Fused query path (DESIGN.md §11): one decode pass over the varint
-  /// arena produces BOTH the session ids and their timestamps, so the
-  /// intersection loop never re-touches the timestamp table per
-  /// candidate. Results live in `scratch` until the next call.
-  PostingsRef PostingsForItem(ItemId item, PostingScratch* scratch) const;
 
   /// Dense per-item IDF array for the vectorized scoring kernel.
   const float* IdfData() const { return item_idf_.data(); }

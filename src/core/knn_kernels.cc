@@ -95,52 +95,6 @@ std::string DescribeDispatch() {
 
 namespace {
 
-size_t ConsumeMemberRunScalar(const SessionId* postings, size_t count,
-                              float decay, SessionSlot* slots,
-                              uint32_t epoch) {
-  size_t i = 0;
-  while (i < count && slots[postings[i]].stamp == epoch) {
-    slots[postings[i]].score += decay;
-    ++i;
-  }
-  return i;
-}
-
-size_t FillRunScalar(const SessionId* sessions, const Timestamp* timestamps,
-                     size_t count, float decay, uint32_t epoch,
-                     SessionSlot* slots,
-                     std::vector<SessionId>* touched_sessions,
-                     std::vector<RecencyKey>* recency_keys) {
-  size_t inserted = 0;
-  for (size_t i = 0; i < count; ++i) {
-    const SessionId session = sessions[i];
-    SessionSlot& slot = slots[session];
-    if (slot.stamp == epoch) {
-      slot.score += decay;
-      continue;
-    }
-    slot = SessionSlot{epoch, decay, timestamps[i]};
-    touched_sessions->push_back(session);
-    recency_keys->push_back(
-        (static_cast<RecencyKey>(timestamps[i]) << 32) | session);
-    ++inserted;
-  }
-  return inserted;
-}
-
-uint32_t MaxSharedPositionScalar(const ItemId* items, size_t count,
-                                 const ItemPositionSlot* slots,
-                                 uint32_t epoch) {
-  uint32_t result = 0;
-  for (size_t i = 0; i < count; ++i) {
-    const ItemPositionSlot slot = slots[items[i]];
-    if (slot.stamp == epoch && slot.position > result) {
-      result = slot.position;
-    }
-  }
-  return result;
-}
-
 // Shared by the scalar path and the vector paths' tails/store loops: one
 // slot's stamp-or-accumulate step with a precomputed contribution.
 inline void TouchAndAdd(ItemId item, float contribution, uint32_t epoch,
@@ -177,25 +131,6 @@ void AccumulateItemScoresScalar(const ItemId* items, size_t count,
   }
 }
 
-uint32_t BeatsNeighborMaskScalar(const SessionId* ids, size_t count,
-                                 const SessionSlot* slots, uint32_t epoch,
-                                 float weakest_score, Timestamp weakest_time,
-                                 SessionId weakest_session) {
-  uint32_t mask = 0;
-  for (size_t i = 0; i < count; ++i) {
-    const SessionId id = ids[i];
-    const SessionSlot slot = slots[id];
-    if (slot.stamp != epoch) continue;
-    const bool beats =
-        slot.score > weakest_score ||
-        (slot.score == weakest_score &&
-         (slot.time > weakest_time ||
-          (slot.time == weakest_time && id > weakest_session)));
-    if (beats) mask |= 1u << i;
-  }
-  return mask;
-}
-
 uint32_t BeatsItemMaskScalar(const ItemId* ids, size_t count,
                              const ItemScoreSlot* slots, float weakest_score,
                              ItemId weakest_item) {
@@ -221,163 +156,14 @@ uint32_t BeatsItemMaskScalar(const ItemId* ids, size_t count,
 // excludes it), preserving the scalar rounding sequence.
 //
 // Slot gathers: the 8-byte item slots are fetched whole with
-// _mm256_i32gather_epi64 (index = id, scale 8); the 16-byte session slot
-// splits into its {stamp, score} half (index = 2*id) and its time half
-// (index = 2*id + 1). 2*id must fit a signed 32-bit gather index, i.e.
-// session ids below 2^30 — comfortably above the paper's corpus sizes
-// (the scalar path has no such bound).
+// _mm256_i32gather_epi64 (index = id, scale 8), so item ids must fit a
+// signed 32-bit gather index — comfortably above the paper's catalog
+// sizes (the scalar path has no such bound).
 // ---------------------------------------------------------------------------
 
 #if defined(SERENADE_SIMD_X86)
 
 namespace {
-
-// Bits 0,2,4,6 of an 8-bit per-dword movemask — the masks of the even
-// (first-in-pair) dwords of four gathered 64-bit slots — compressed to
-// bits 0..3.
-inline uint32_t EvenBits(uint32_t mask) {
-  return (mask & 1u) | ((mask >> 1) & 2u) | ((mask >> 2) & 4u) |
-         ((mask >> 3) & 8u);
-}
-
-__attribute__((target("avx2"))) size_t ConsumeMemberRunAvx2(
-    const SessionId* postings, size_t count, float decay, SessionSlot* slots,
-    uint32_t epoch) {
-  const __m256i epoch_v = _mm256_set1_epi32(static_cast<int>(epoch));
-  const long long* base = reinterpret_cast<const long long*>(slots);
-  size_t i = 0;
-  while (i + 8 <= count) {
-    // Cheap scalar head-check: on insert-heavy scans most calls stop at
-    // the very first element, and a full 8-lane gather just to learn
-    // that would make the kernel slower than the scalar loop.
-    if (slots[postings[i]].stamp != epoch) return i;
-    // Pull the next block's slot lines in early: posting ids are
-    // sequential in memory but their slots gather from all over the
-    // dense array — the software prefetch hides that latency.
-    if (i + 16 <= count) {
-      __builtin_prefetch(&slots[postings[i + 8]]);
-      __builtin_prefetch(&slots[postings[i + 12]]);
-    }
-    const __m256i ids = _mm256_loadu_si256(
-        reinterpret_cast<const __m256i*>(postings + i));
-    const __m256i pair_idx = _mm256_slli_epi32(ids, 1);
-    // Each gathered 64-bit lane is a {stamp, score} pair; stamps sit in
-    // the even dwords.
-    const __m256i lo = _mm256_i32gather_epi64(
-        base, _mm256_castsi256_si128(pair_idx), 8);
-    const __m256i hi = _mm256_i32gather_epi64(
-        base, _mm256_extracti128_si256(pair_idx, 1), 8);
-    const uint32_t member_mask =
-        EvenBits(static_cast<uint32_t>(_mm256_movemask_ps(
-            _mm256_castsi256_ps(_mm256_cmpeq_epi32(lo, epoch_v))))) |
-        (EvenBits(static_cast<uint32_t>(_mm256_movemask_ps(
-             _mm256_castsi256_ps(_mm256_cmpeq_epi32(hi, epoch_v)))))
-         << 4);
-    if (member_mask != 0xffu) {
-      // Consume the leading members of the mixed block, then hand the
-      // first non-member back to the caller.
-      size_t lead = 0;
-      while (member_mask & (1u << lead)) {
-        slots[postings[i + lead]].score += decay;
-        ++lead;
-      }
-      return i + lead;
-    }
-    // All 8 are members; their lines are hot from the gather, so the
-    // read-modify-write stores are cheap.
-    for (size_t lane = 0; lane < 8; ++lane) {
-      slots[postings[i + lane]].score += decay;
-    }
-    i += 8;
-  }
-  return i + ConsumeMemberRunScalar(postings + i, count - i, decay, slots,
-                                    epoch);
-}
-
-__attribute__((target("avx2"))) size_t FillRunAvx2(
-    const SessionId* sessions, const Timestamp* timestamps, size_t count,
-    float decay, uint32_t epoch, SessionSlot* slots,
-    std::vector<SessionId>* touched_sessions,
-    std::vector<RecencyKey>* recency_keys) {
-  if (count < 8) {
-    return FillRunScalar(sessions, timestamps, count, decay, epoch, slots,
-                         touched_sessions, recency_keys);
-  }
-  // One gathered membership test for the whole block: the gather issues 8
-  // independent slot loads at once (the scalar walk's load-check-store
-  // chain exposes them one miss at a time), and the decided lanes then
-  // write to lines the gather already pulled in. Lane order preserves the
-  // scalar insert/touch order; lanes are distinct sessions so they never
-  // interact within the block.
-  const __m256i epoch_v = _mm256_set1_epi32(static_cast<int>(epoch));
-  const long long* base = reinterpret_cast<const long long*>(slots);
-  const __m256i ids = _mm256_loadu_si256(
-      reinterpret_cast<const __m256i*>(sessions));
-  const __m256i pair_idx = _mm256_slli_epi32(ids, 1);
-  const __m256i lo = _mm256_i32gather_epi64(
-      base, _mm256_castsi256_si128(pair_idx), 8);
-  const __m256i hi = _mm256_i32gather_epi64(
-      base, _mm256_extracti128_si256(pair_idx, 1), 8);
-  const uint32_t member_mask =
-      EvenBits(static_cast<uint32_t>(_mm256_movemask_ps(
-          _mm256_castsi256_ps(_mm256_cmpeq_epi32(lo, epoch_v))))) |
-      (EvenBits(static_cast<uint32_t>(_mm256_movemask_ps(
-           _mm256_castsi256_ps(_mm256_cmpeq_epi32(hi, epoch_v)))))
-       << 4);
-  size_t inserted = 0;
-  for (size_t lane = 0; lane < 8; ++lane) {
-    const SessionId session = sessions[lane];
-    if (member_mask & (1u << lane)) {
-      slots[session].score += decay;
-      continue;
-    }
-    slots[session] = SessionSlot{epoch, decay, timestamps[lane]};
-    touched_sessions->push_back(session);
-    recency_keys->push_back(
-        (static_cast<RecencyKey>(timestamps[lane]) << 32) | session);
-    ++inserted;
-  }
-  return inserted;
-}
-
-__attribute__((target("avx2"))) uint32_t MaxSharedPositionAvx2(
-    const ItemId* items, size_t count, const ItemPositionSlot* slots,
-    uint32_t epoch) {
-  const __m256i epoch_v = _mm256_set1_epi32(static_cast<int>(epoch));
-  // Positions live in the odd dwords of the gathered pairs; the even
-  // (stamp) dwords are forced to zero so they never pollute the max.
-  const __m256i odd_dwords = _mm256_set1_epi64x(
-      static_cast<long long>(0xffffffff00000000ull));
-  const long long* base = reinterpret_cast<const long long*>(slots);
-  __m256i best = _mm256_setzero_si256();
-  size_t i = 0;
-  for (; i + 8 <= count; i += 8) {
-    const __m256i ids =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(items + i));
-    const __m256i lo = _mm256_i32gather_epi64(
-        base, _mm256_castsi256_si128(ids), 8);
-    const __m256i hi = _mm256_i32gather_epi64(
-        base, _mm256_extracti128_si256(ids, 1), 8);
-    // Spread each pair's stamp-equality verdict onto both of its dwords,
-    // then keep only live positions — dead lanes contribute 0, the
-    // identity of unsigned max, exactly like the scalar guard.
-    const __m256i lo_live = _mm256_shuffle_epi32(
-        _mm256_cmpeq_epi32(lo, epoch_v), _MM_SHUFFLE(2, 2, 0, 0));
-    const __m256i hi_live = _mm256_shuffle_epi32(
-        _mm256_cmpeq_epi32(hi, epoch_v), _MM_SHUFFLE(2, 2, 0, 0));
-    best = _mm256_max_epu32(
-        best, _mm256_and_si256(_mm256_and_si256(lo, lo_live), odd_dwords));
-    best = _mm256_max_epu32(
-        best, _mm256_and_si256(_mm256_and_si256(hi, hi_live), odd_dwords));
-  }
-  alignas(32) uint32_t lanes[8];
-  _mm256_store_si256(reinterpret_cast<__m256i*>(lanes), best);
-  uint32_t result = 0;
-  for (uint32_t lane : lanes) result = lane > result ? lane : result;
-  const uint32_t tail =
-      MaxSharedPositionScalar(items + i, count - i, slots, epoch);
-  return tail > result ? tail : result;
-}
 
 __attribute__((target("avx2"))) void AccumulateItemScoresAvx2(
     const ItemId* items, size_t count, float weight, IdfWeighting idf_mode,
@@ -410,43 +196,6 @@ __attribute__((target("avx2"))) void AccumulateItemScoresAvx2(
                              epoch, slots, touched_items);
 }
 
-// 8 lanes of unsigned-64 "gathered > constant" and "== constant", built
-// from two 4-lane epi64 gathers at the given dword-pair indices. AVX2
-// only has signed 64-bit compares; XOR-flipping the sign bit of both
-// sides is the standard exact unsigned-order embedding.
-struct U64LaneCompare {
-  uint32_t greater;  // 8-bit lane masks
-  uint32_t equal;
-};
-
-__attribute__((target("avx2"))) U64LaneCompare GatherCompareU64(
-    const long long* base, __m256i pair_idx, uint64_t threshold) {
-  const __m256i flip = _mm256_set1_epi64x(
-      static_cast<long long>(0x8000000000000000ull));
-  const __m256i threshold_v = _mm256_xor_si256(
-      _mm256_set1_epi64x(static_cast<long long>(threshold)), flip);
-  const __m256i lo = _mm256_i32gather_epi64(
-      base, _mm256_castsi256_si128(pair_idx), 8);
-  const __m256i hi = _mm256_i32gather_epi64(
-      base, _mm256_extracti128_si256(pair_idx, 1), 8);
-  const __m256i lo_f = _mm256_xor_si256(lo, flip);
-  const __m256i hi_f = _mm256_xor_si256(hi, flip);
-  U64LaneCompare out;
-  out.greater = static_cast<uint32_t>(
-      _mm256_movemask_pd(
-          _mm256_castsi256_pd(_mm256_cmpgt_epi64(lo_f, threshold_v))) |
-      (_mm256_movemask_pd(
-           _mm256_castsi256_pd(_mm256_cmpgt_epi64(hi_f, threshold_v)))
-       << 4));
-  out.equal = static_cast<uint32_t>(
-      _mm256_movemask_pd(_mm256_castsi256_pd(
-          _mm256_cmpeq_epi64(lo_f, threshold_v))) |
-      (_mm256_movemask_pd(_mm256_castsi256_pd(
-           _mm256_cmpeq_epi64(hi_f, threshold_v)))
-       << 4));
-  return out;
-}
-
 // Recombines the odd (score) dwords of two gathered pair vectors into
 // lane order [f0..f7].
 __attribute__((target("avx2"))) __m256 OddDwordsAsFloats(__m256i lo,
@@ -456,56 +205,6 @@ __attribute__((target("avx2"))) __m256 OddDwordsAsFloats(__m256i lo,
       _MM_SHUFFLE(3, 1, 3, 1));
   return _mm256_castsi256_ps(_mm256_permute4x64_epi64(
       _mm256_castps_si256(mixed), _MM_SHUFFLE(3, 1, 2, 0)));
-}
-
-__attribute__((target("avx2"))) uint32_t BeatsNeighborMaskAvx2(
-    const SessionId* ids, size_t count, const SessionSlot* slots,
-    uint32_t epoch, float weakest_score, Timestamp weakest_time,
-    SessionId weakest_session) {
-  if (count < 8) {
-    return BeatsNeighborMaskScalar(ids, count, slots, epoch, weakest_score,
-                                   weakest_time, weakest_session);
-  }
-  const __m256i epoch_v = _mm256_set1_epi32(static_cast<int>(epoch));
-  const long long* base = reinterpret_cast<const long long*>(slots);
-  const __m256i id_v =
-      _mm256_loadu_si256(reinterpret_cast<const __m256i*>(ids));
-  const __m256i pair_idx = _mm256_slli_epi32(id_v, 1);
-  const __m256i lo = _mm256_i32gather_epi64(
-      base, _mm256_castsi256_si128(pair_idx), 8);
-  const __m256i hi = _mm256_i32gather_epi64(
-      base, _mm256_extracti128_si256(pair_idx, 1), 8);
-  const uint32_t live =
-      EvenBits(static_cast<uint32_t>(_mm256_movemask_ps(
-          _mm256_castsi256_ps(_mm256_cmpeq_epi32(lo, epoch_v))))) |
-      (EvenBits(static_cast<uint32_t>(_mm256_movemask_ps(
-           _mm256_castsi256_ps(_mm256_cmpeq_epi32(hi, epoch_v)))))
-       << 4);
-  if (live == 0) return 0;
-
-  const __m256 score_v = OddDwordsAsFloats(lo, hi);
-  const __m256 weakest_v = _mm256_set1_ps(weakest_score);
-  const uint32_t score_gt = static_cast<uint32_t>(
-      _mm256_movemask_ps(_mm256_cmp_ps(score_v, weakest_v, _CMP_GT_OQ)));
-  const uint32_t score_eq = static_cast<uint32_t>(
-      _mm256_movemask_ps(_mm256_cmp_ps(score_v, weakest_v, _CMP_EQ_OQ)));
-
-  uint32_t beats = score_gt;
-  if (score_eq & live) {
-    // Score ties resolve by (timestamp, session id), both strictly
-    // greater-than — the recency tiebreak of NeighborLess. The slot's
-    // time half sits one 8-byte word past its pair half.
-    const U64LaneCompare time_cmp = GatherCompareU64(
-        base, _mm256_add_epi32(pair_idx, _mm256_set1_epi32(1)),
-        weakest_time);
-    const uint32_t id_gt = static_cast<uint32_t>(
-        _mm256_movemask_ps(_mm256_castsi256_ps(_mm256_cmpgt_epi32(
-            _mm256_xor_si256(id_v, _mm256_set1_epi32(INT32_MIN)),
-            _mm256_set1_epi32(static_cast<int>(weakest_session ^
-                                               0x80000000u))))));
-    beats |= score_eq & (time_cmp.greater | (time_cmp.equal & id_gt));
-  }
-  return beats & live;
 }
 
 __attribute__((target("avx2"))) uint32_t BeatsItemMaskAvx2(
@@ -543,35 +242,13 @@ __attribute__((target("avx2"))) uint32_t BeatsItemMaskAvx2(
 // ---------------------------------------------------------------------------
 // NEON paths (AArch64). NEON has no gather, so the dense-array lookups
 // stay per-lane scalar loads; the arithmetic and comparisons vectorise.
-// The gather-dominated kernels (member run, prefilter masks) gain little
-// without gather and dispatch to the scalar bodies.
+// The gather-dominated prefilter mask gains little without gather and
+// dispatches to the scalar body.
 // ---------------------------------------------------------------------------
 
 #if defined(SERENADE_SIMD_NEON)
 
 namespace {
-
-uint32_t MaxSharedPositionNeon(const ItemId* items, size_t count,
-                               const ItemPositionSlot* slots,
-                               uint32_t epoch) {
-  const uint32x4_t epoch_v = vdupq_n_u32(epoch);
-  uint32x4_t best = vdupq_n_u32(0);
-  size_t i = 0;
-  for (; i + 4 <= count; i += 4) {
-    uint32_t stamps[4], positions[4];
-    for (size_t lane = 0; lane < 4; ++lane) {
-      const ItemPositionSlot slot = slots[items[i + lane]];
-      stamps[lane] = slot.stamp;
-      positions[lane] = slot.position;
-    }
-    const uint32x4_t live = vceqq_u32(vld1q_u32(stamps), epoch_v);
-    best = vmaxq_u32(best, vandq_u32(vld1q_u32(positions), live));
-  }
-  uint32_t result = vmaxvq_u32(best);
-  const uint32_t tail =
-      MaxSharedPositionScalar(items + i, count - i, slots, epoch);
-  return tail > result ? tail : result;
-}
 
 void AccumulateItemScoresNeon(const ItemId* items, size_t count, float weight,
                               IdfWeighting idf_mode, const float* idf,
@@ -611,46 +288,6 @@ void AccumulateItemScoresNeon(const ItemId* items, size_t count, float weight,
 // Dispatch.
 // ---------------------------------------------------------------------------
 
-size_t ConsumeMemberRun(const SessionId* postings, size_t count, float decay,
-                        SessionSlot* slots, uint32_t epoch) {
-#if defined(SERENADE_SIMD_X86)
-  if (ActiveLevel() == Level::kAvx2) {
-    return ConsumeMemberRunAvx2(postings, count, decay, slots, epoch);
-  }
-#endif
-  return ConsumeMemberRunScalar(postings, count, decay, slots, epoch);
-}
-
-size_t FillRun(const SessionId* sessions, const Timestamp* timestamps,
-               size_t count, float decay, uint32_t epoch, SessionSlot* slots,
-               std::vector<SessionId>* touched_sessions,
-               std::vector<RecencyKey>* recency_keys) {
-#if defined(SERENADE_SIMD_X86)
-  if (ActiveLevel() == Level::kAvx2) {
-    return FillRunAvx2(sessions, timestamps, count, decay, epoch, slots,
-                       touched_sessions, recency_keys);
-  }
-#endif
-  return FillRunScalar(sessions, timestamps, count, decay, epoch, slots,
-                       touched_sessions, recency_keys);
-}
-
-uint32_t MaxSharedPosition(const ItemId* items, size_t count,
-                           const ItemPositionSlot* slots, uint32_t epoch) {
-  switch (ActiveLevel()) {
-#if defined(SERENADE_SIMD_X86)
-    case Level::kAvx2:
-      return MaxSharedPositionAvx2(items, count, slots, epoch);
-#endif
-#if defined(SERENADE_SIMD_NEON)
-    case Level::kNeon:
-      return MaxSharedPositionNeon(items, count, slots, epoch);
-#endif
-    default:
-      return MaxSharedPositionScalar(items, count, slots, epoch);
-  }
-}
-
 void AccumulateItemScores(const ItemId* items, size_t count, float weight,
                           IdfWeighting idf_mode, const float* idf,
                           uint32_t epoch, ItemScoreSlot* slots,
@@ -672,20 +309,6 @@ void AccumulateItemScores(const ItemId* items, size_t count, float weight,
       AccumulateItemScoresScalar(items, count, weight, idf_mode, idf, epoch,
                                  slots, touched_items);
   }
-}
-
-uint32_t BeatsNeighborMask(const SessionId* ids, size_t count,
-                           const SessionSlot* slots, uint32_t epoch,
-                           float weakest_score, Timestamp weakest_time,
-                           SessionId weakest_session) {
-#if defined(SERENADE_SIMD_X86)
-  if (ActiveLevel() == Level::kAvx2) {
-    return BeatsNeighborMaskAvx2(ids, count, slots, epoch, weakest_score,
-                                 weakest_time, weakest_session);
-  }
-#endif
-  return BeatsNeighborMaskScalar(ids, count, slots, epoch, weakest_score,
-                                 weakest_time, weakest_session);
 }
 
 uint32_t BeatsItemMask(const ItemId* ids, size_t count,

@@ -1,4 +1,4 @@
-// Portable SIMD kernels for the VMIS-kNN query hot loops (DESIGN.md §11).
+// Portable SIMD kernels for the VMIS-kNN scoring pass (DESIGN.md §11).
 //
 // Every kernel has three implementations — AVX2 (x86, compiled with a
 // per-function target attribute so the rest of the build stays baseline),
@@ -35,8 +35,8 @@ enum class Level : int {
   kAvx2 = 2,
 };
 
-/// Lane count the block-oriented kernels (the *Mask prefilters) are
-/// designed around; callers feed blocks of at most this many entries.
+/// Lane count the BeatsItemMask prefilter is designed around; callers
+/// feed blocks of at most this many entries.
 inline constexpr size_t kBlockLanes = 8;
 
 const char* LevelName(Level level);
@@ -76,23 +76,11 @@ class ScopedLevel {
 std::string DescribeDispatch();
 
 // ---------------------------------------------------------------------------
-// Epoch-stamped slot records. The query engine's dense per-session and
-// per-item scratch state is stored as small power-of-two records rather
-// than parallel arrays: one candidate insert or lookup touches ONE cache
-// line instead of two or three, and the vector paths fetch a whole
-// record with a single 64-bit gather (two for the 16-byte session slot).
-// A slot is live iff its stamp equals the current query epoch.
+// Epoch-stamped slot record of the scoring pass. Stamp and score share
+// one 8-byte record, so a touch costs ONE cache line and the vector paths
+// fetch a whole record with a single 64-bit gather. A slot is live iff
+// its stamp equals the current query epoch.
 // ---------------------------------------------------------------------------
-
-/// Per-session candidate state: similarity score and the session's
-/// timestamp, cached at insert so neither the top-k loop nor the
-/// eviction compare ever gathers from the index again.
-struct alignas(16) SessionSlot {
-  uint32_t stamp = 0;
-  float score = 0.0f;
-  Timestamp time = 0;
-};
-static_assert(sizeof(SessionSlot) == 16);
 
 /// Per-item accumulated recommendation score (the scoring pass).
 struct ItemScoreSlot {
@@ -101,55 +89,14 @@ struct ItemScoreSlot {
 };
 static_assert(sizeof(ItemScoreSlot) == 8);
 
-/// Per-item last (1-based) position within the evolving session.
-struct ItemPositionSlot {
-  uint32_t stamp = 0;
-  uint32_t position = 0;
-};
-static_assert(sizeof(ItemPositionSlot) == 8);
-
 // ---------------------------------------------------------------------------
-// Kernels. All slot pointers reference dense arrays indexed by the ids in
-// the id lists; every id must be in bounds for its array (VMIS-kNN
-// guarantees this: neighbour items and posting sessions come from the
-// index whose universe sizes the arrays).
+// Kernels. Slot pointers reference dense arrays indexed by the ids in the
+// id lists; every id must be in bounds for its array (VMIS-kNN
+// guarantees this: neighbour items come from the index whose universe
+// sizes the arrays, and the index loader range-checks them).
 // ---------------------------------------------------------------------------
 
-/// Intersection-loop fast path: consumes the longest prefix of `postings`
-/// whose sessions are already live candidates (stamp == epoch), adding
-/// `decay` to each one's score, and returns the number consumed. Stops at
-/// the first non-member (the caller runs the insert/evict/early-stop logic
-/// for it) or at `count`. Sessions within one posting list are distinct.
-size_t ConsumeMemberRun(const SessionId* postings, size_t count, float decay,
-                        SessionSlot* slots, uint32_t epoch);
-
-/// Packed (timestamp << 32 | session) candidate-recency key — the element
-/// type of the engine's recency heap b_t, built by FillRun.
-using RecencyKey = unsigned __int128;
-
-/// Intersection-loop fill-regime block: processes `count` (<= kBlockLanes)
-/// postings while the candidate set cannot overflow (caller guarantees
-/// live + count <= m, i.e. NO eviction can occur): members get `decay`
-/// added, non-members are inserted (slot stamped, id appended to
-/// `touched_sessions`, recency key appended). Returns the number
-/// inserted. Valid only in that regime — an eviction could retroactively
-/// change a later lane's membership, which is impossible here; sessions
-/// within one posting list are distinct, so lanes never interact and one
-/// gathered membership test decides the whole block exactly as the
-/// sequential scalar walk would.
-size_t FillRun(const SessionId* sessions, const Timestamp* timestamps,
-               size_t count, float decay, uint32_t epoch, SessionSlot* slots,
-               std::vector<SessionId>* touched_sessions,
-               std::vector<RecencyKey>* recency_keys);
-
-/// Scoring pass, step 1: max over the 1-based positions of the evolving
-/// session's items that also occur in `items` (0 when disjoint) — the
-/// max(omega(s) ⊙ n) lookup. Position entries are valid iff their stamp
-/// equals `epoch`.
-uint32_t MaxSharedPosition(const ItemId* items, size_t count,
-                           const ItemPositionSlot* slots, uint32_t epoch);
-
-/// Scoring pass, step 2: for each (distinct) item of a neighbour session,
+/// Scoring pass: for each (distinct) item of a neighbour session,
 /// adds weight * idf_factor(item) to its score slot, stamping and zeroing
 /// slots on first touch this query and recording them in `touched_items`
 /// (in list order). idf_factor is 1, idf[item], or 1 + idf[item]
@@ -159,21 +106,6 @@ void AccumulateItemScores(const ItemId* items, size_t count, float weight,
                           IdfWeighting idf_mode, const float* idf,
                           uint32_t epoch, ItemScoreSlot* slots,
                           std::vector<ItemId>* touched_items);
-
-/// Top-k prefilter over candidate sessions, used once the result heap is
-/// full: bit i of the result is set iff ids[i] is a live candidate
-/// (stamp == epoch) that BEATS the heap's current weakest neighbour
-/// under the full NeighborLess order — score, then timestamp, then
-/// session id, all strictly greater. Only beating candidates can change
-/// a full heap (Offer of anything else is a no-op), so the filter is
-/// exact; it is also highly selective under the quantized decay scores,
-/// where score-only filtering would pass every tied lane. The compares
-/// are exact predicates (no float arithmetic), so the mask is identical
-/// across SIMD levels. count <= kBlockLanes.
-uint32_t BeatsNeighborMask(const SessionId* ids, size_t count,
-                           const SessionSlot* slots, uint32_t epoch,
-                           float weakest_score, Timestamp weakest_time,
-                           SessionId weakest_session);
 
 /// Top-n prefilter over touched items (all live by construction), used
 /// once the result heap is full: bit i set iff ids[i] beats the weakest

@@ -24,6 +24,7 @@ SessionIndex SessionIndex::Build(const Dataset& train,
   std::vector<std::vector<ItemId>> distinct_items(num_sessions);
   for (size_t s = 0; s < num_sessions; ++s) {
     assert(sessions[s].id == static_cast<SessionId>(s));
+    assert(s == 0 || sessions[s - 1].end_time <= sessions[s].end_time);
     index.session_timestamps_[s] = sessions[s].end_time;
     scratch.assign(sessions[s].items.begin(), sessions[s].items.end());
     std::sort(scratch.begin(), scratch.end());
@@ -81,21 +82,12 @@ SessionIndex SessionIndex::Build(const Dataset& train,
       }
     }
   }
-  index.DerivePostingTimestamps();
   return index;
-}
-
-void SessionIndex::DerivePostingTimestamps() {
-  posting_timestamps_.resize(session_lists_.size());
-  for (size_t j = 0; j < session_lists_.size(); ++j) {
-    posting_timestamps_[j] = session_timestamps_[session_lists_[j]];
-  }
 }
 
 size_t SessionIndex::MemoryBytes() const {
   return item_offsets_.size() * sizeof(uint64_t) +
          session_lists_.size() * sizeof(SessionId) +
-         posting_timestamps_.size() * sizeof(Timestamp) +
          session_timestamps_.size() * sizeof(Timestamp) +
          session_offsets_.size() * sizeof(uint64_t) +
          session_items_.size() * sizeof(ItemId) +
@@ -114,7 +106,6 @@ SessionIndex SessionIndex::FromRaw(Raw raw) {
   index.session_items_ = std::move(raw.session_items);
   index.item_idf_ = std::move(raw.item_idf);
   index.item_frequencies_ = std::move(raw.item_frequencies);
-  index.DerivePostingTimestamps();
   return index;
 }
 

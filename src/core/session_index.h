@@ -18,27 +18,16 @@
 
 namespace serenade {
 
-/// Structure-of-arrays view of one item's posting list: parallel arrays
-/// of session ids and their timestamps, both in descending recency order.
-/// The timestamp array removes the random session_timestamps_[id] gather
-/// from the VMIS-kNN intersection loop — the query streams both arrays
-/// sequentially instead (DESIGN.md §11).
-struct PostingsRef {
-  const SessionId* sessions = nullptr;
-  const Timestamp* timestamps = nullptr;
-  size_t size = 0;
-};
-
-/// Caller-provided decode buffers for index representations that cannot
-/// return stable PostingsRef views directly (compressed, overlay-merged).
-struct PostingScratch {
-  std::vector<SessionId> sessions;
-  std::vector<Timestamp> timestamps;
-};
-
 /// Immutable session similarity index. Build offline (see also
 /// index/index_builder.h for the parallel pipeline), replicate to every
 /// serving machine, query concurrently without synchronisation.
+///
+/// Session ids ascend with session end time (timestamps never decrease
+/// with id), so a larger id always means an equally or more recent
+/// session — the id ≡ recency invariant VMIS-kNN keys its candidate state
+/// by (DESIGN.md §11). Build requires it of its input; DeserializeIndex
+/// and ApplyDeltaToIndex (index/index_format.h) reject artifacts and
+/// deltas that would break it.
 class SessionIndex {
  public:
   SessionIndex() = default;
@@ -73,23 +62,17 @@ class SessionIndex {
     return SessionsForItem(item);
   }
 
-  /// Fused SoA posting access for the query hot loop: ids and timestamps
-  /// in one call, no per-candidate SessionTimestamp() gather. The flat
-  /// index returns views of its own parallel arrays; `scratch` is unused.
-  PostingsRef PostingsForItem(ItemId item, PostingScratch* /*scratch*/) const {
-    if (item >= num_items()) return {};
-    const uint64_t begin = item_offsets_[item];
-    return {session_lists_.data() + begin, posting_timestamps_.data() + begin,
-            item_offsets_[item + 1] - begin};
-  }
-
-  /// Hints the first cache lines of `item`'s posting arrays into cache —
+  /// Hints the first cache line of `item`'s posting list into cache —
   /// issued by the query loop one item ahead of use.
   void PrefetchPostings(ItemId item) const {
     if (item >= num_items()) return;
-    const uint64_t begin = item_offsets_[item];
-    __builtin_prefetch(session_lists_.data() + begin);
-    __builtin_prefetch(posting_timestamps_.data() + begin);
+    __builtin_prefetch(session_lists_.data() + item_offsets_[item]);
+  }
+
+  /// Hints the first cache line of `session`'s item list into cache —
+  /// issued by the scoring pass a few neighbours ahead of use.
+  void PrefetchItems(SessionId session) const {
+    __builtin_prefetch(session_items_.data() + session_offsets_[session]);
   }
 
   /// Dense per-item IDF array (num_items() floats) for the vectorized
@@ -165,18 +148,10 @@ class SessionIndex {
  private:
   size_t max_sessions_per_item_ = 0;
 
-  /// Fills posting_timestamps_ from session_lists_ x session_timestamps_
-  /// (derived data — not serialized; see Raw).
-  void DerivePostingTimestamps();
-
-  // M: item -> most recent sessions, CSR (structure-of-arrays: the
-  // session ids and their timestamps are parallel alignments of the same
-  // posting list; posting_timestamps_[j] ==
-  // session_timestamps_[session_lists_[j]], rebuilt by
-  // DerivePostingTimestamps on construction).
+  // M: item -> most recent sessions, CSR; each list strictly descending
+  // in session id, i.e. in recency.
   std::vector<uint64_t> item_offsets_;
   std::vector<SessionId> session_lists_;
-  std::vector<Timestamp> posting_timestamps_;
 
   // t: session -> timestamp.
   std::vector<Timestamp> session_timestamps_;

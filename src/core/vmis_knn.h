@@ -9,20 +9,21 @@
 // version of the index"). An index type must provide:
 //   std::span<const SessionId> SessionsForItem(ItemId, std::vector<SessionId>* scratch) const;
 //   std::span<const ItemId>    ItemsForSession(SessionId, std::vector<ItemId>* scratch) const;
-//   Timestamp SessionTimestamp(SessionId) const;
-//   double    Idf(ItemId) const;
-//   size_t    max_sessions_per_item() const;
-//   size_t    num_items() const;
-// and may additionally provide the SoA fast-path concept (DESIGN.md §11)
-// — each detected with `requires` and used when present:
-//   PostingsRef PostingsForItem(ItemId, PostingScratch*) const;  // fused ids+timestamps
-//   const float* IdfData() const;        // dense idf -> vectorized scoring
-//   void PrefetchPostings(ItemId) const; // issued one query item ahead
+//   Timestamp    SessionTimestamp(SessionId) const;
+//   const float* IdfData() const;  // dense per-item idf
+//   size_t       num_items() const;
+//   size_t       num_sessions() const;
+// and may additionally provide cache hints, detected with `requires`:
+//   void PrefetchPostings(ItemId) const;   // issued one query item ahead
+//   void PrefetchItems(SessionId) const;   // issued four neighbours ahead
 //
-// The hot loops dispatch to the SIMD kernels in core/knn_kernels.h;
-// every kernel is bit-identical to its scalar reference, so results are
-// independent of the active SIMD level (the differential oracle checks
-// this, see testing/differential.h).
+// Session ids must ascend with session end time (the id ≡ recency
+// invariant, DESIGN.md §11): "most recent" is "largest id", so candidate
+// slots, the recency heap and the neighbour keys carry no timestamps.
+// Posting lists are strictly descending in id. The scoring pass
+// dispatches to the SIMD kernels in core/knn_kernels.h, which are
+// bit-identical to their scalar references (the differential oracle
+// checks this, see testing/differential.h).
 #pragma once
 
 #include <algorithm>
@@ -31,6 +32,8 @@
 #include <cstddef>
 #include <cstring>
 #include <limits>
+#include <span>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -86,6 +89,13 @@ struct Neighbor {
 /// The paper's "VMIS-kNN-no-opt" variant: binary heaps, no early stopping.
 KnnConfig NoOptConfig(KnnConfig config);
 
+/// Largest supported KnnConfig::max_session_length for VMIS-kNN: a
+/// candidate's 1-based match position is stored in the low
+/// kMatchPositionBits of its slot's stamp word (internal::SessionSlot).
+inline constexpr size_t kMatchPositionBits = 8;
+inline constexpr size_t kMaxVmisSessionLength =
+    (size_t{1} << kMatchPositionBits) - 1;
+
 namespace internal {
 
 // Ordering for the bounded top-k neighbour heap: a neighbour is "better"
@@ -136,29 +146,14 @@ inline float ScoreFromKeyBits(uint32_t bits) {
   return score;
 }
 
-/// Recency key of the candidate heap b_t: (timestamp << 32) | session.
-/// std::less = OlderFirst — the root is the oldest candidate, ties by
-/// session id (a total order, ids ascend with end time).
-using RecencyKey = unsigned __int128;
-inline RecencyKey MakeRecencyKey(Timestamp timestamp, SessionId session) {
-  return (static_cast<RecencyKey>(timestamp) << 32) | session;
-}
-inline SessionId RecencyKeySession(RecencyKey key) {
-  return static_cast<SessionId>(static_cast<uint32_t>(key));
-}
-
-/// Neighbour key: (score bits << 96) | (timestamp << 32) | session.
-/// std::less = NeighborLess.
-using NeighborKey = unsigned __int128;
-inline NeighborKey MakeNeighborKey(float score, Timestamp timestamp,
-                                   SessionId session) {
-  return (static_cast<NeighborKey>(ScoreKeyBits(score)) << 96) |
-         (static_cast<NeighborKey>(timestamp) << 32) | session;
-}
-inline Neighbor NeighborFromKey(NeighborKey key) {
-  return Neighbor{static_cast<SessionId>(static_cast<uint32_t>(key)),
-                  ScoreFromKeyBits(static_cast<uint32_t>(key >> 96)),
-                  static_cast<Timestamp>(key >> 32)};
+/// Neighbour key: (score bits << 32) | session. std::less = NeighborLess
+/// on every index whose session ids ascend with end time (the id ≡
+/// recency invariant, DESIGN.md §11): among equal scores the larger id
+/// is the more recent session, or an equally recent one with the larger
+/// id — exactly NeighborLess's (timestamp, session) tie-break.
+using NeighborKey = uint64_t;
+inline NeighborKey MakeNeighborKey(float score, SessionId session) {
+  return (static_cast<NeighborKey>(ScoreKeyBits(score)) << 32) | session;
 }
 
 /// Item key: (score bits << 32) | ~item. std::less = ScoredItemLess
@@ -173,6 +168,18 @@ inline ScoredItem ScoredItemFromKey(ItemKey key) {
                     ScoreFromKeyBits(static_cast<uint32_t>(key >> 32))};
 }
 
+/// Per-session candidate state of one query, 8 bytes. `stamp` is
+/// (query epoch << kMatchPositionBits) | match position, where the match
+/// position is the 1-based position of the most recent evolving-session
+/// item whose postings admitted the candidate. A slot is live iff its
+/// stamp is at least the current epoch's base (epoch <<
+/// kMatchPositionBits); eviction writes 0.
+struct SessionSlot {
+  uint32_t stamp = 0;
+  float score = 0.0f;
+};
+static_assert(sizeof(SessionSlot) == 8);
+
 }  // namespace internal
 
 /// VMIS-kNN recommender over an index representation `Index`. Shares an
@@ -184,6 +191,8 @@ class VmisKnnT : public Recommender {
  public:
   /// `index` must outlive the recommender. config.m must not exceed the
   /// index's max_sessions_per_item (postings beyond it were not retained).
+  /// Throws std::invalid_argument when config.max_session_length exceeds
+  /// kMaxVmisSessionLength.
   VmisKnnT(const Index* index, KnnConfig config)
       : index_(index), config_(config) {
     assert(index_ != nullptr);
@@ -191,6 +200,12 @@ class VmisKnnT : public Recommender {
     assert(config_.k <= config_.m);
     assert(config_.heap_arity == 2 || config_.heap_arity == 4 ||
            config_.heap_arity == 8);
+    if (config_.max_session_length > kMaxVmisSessionLength) {
+      throw std::invalid_argument(
+          "VMIS-kNN max_session_length " +
+          std::to_string(config_.max_session_length) + " exceeds " +
+          std::to_string(kMaxVmisSessionLength));
+    }
   }
 
   std::string Name() const override {
@@ -245,75 +260,47 @@ class VmisKnnT : public Recommender {
     if (neighbors.empty()) return result;
 
     const size_t len = truncated_.size();
+    if (config_.exclude_session_items) {
+      // Items absent from the index are never touched, so they need no
+      // stamp.
+      for (const ItemId item : truncated_) {
+        if (item < query_item_stamps_.size()) query_item_stamps_[item] = epoch_;
+      }
+    }
 
     // The scoring pass touches every item of every neighbour session —
     // the hottest loop of the whole query. Epoch-stamped dense slot
     // arrays replace the hash maps here (see BumpEpoch, called by
     // NeighborSessions above): a lookup is one indexed load plus a stamp
     // compare, and "clearing" between queries is a single epoch
-    // increment.
-
-    // Last (1-based) occurrence position of each evolving-session item,
-    // for the max(omega(s) ⊙ n) lookup of the scoring pass. Items absent
-    // from the index can never match a neighbour item, so they are
-    // skipped rather than stored.
-    const size_t num_items = item_score_slots_.size();
-    for (size_t p = 0; p < len; ++p) {
-      const ItemId item = truncated_[p];
-      if (item < num_items) {
-        item_position_slots_[item] =
-            simd::ItemPositionSlot{epoch_, static_cast<uint32_t>(p + 1)};
-      }
-    }
-
+    // increment. Each neighbour's max(omega(s) ⊙ n) position is already
+    // in its candidate slot, recorded at first insert.
+    const uint32_t stamp_base = StampBase();
     touched_items_.clear();
-    for (const Neighbor& neighbor : neighbors) {
-      const std::span<const ItemId> neighbor_items =
-          index_->ItemsForSession(neighbor.session, &items_scratch_);
-
-      const uint32_t max_shared_position = simd::MaxSharedPosition(
-          neighbor_items.data(), neighbor_items.size(),
-          item_position_slots_.data(), epoch_);
-      if (max_shared_position == 0) continue;  // defensive; cannot happen
-
+    for (size_t i = 0; i < neighbors.size(); ++i) {
+      if constexpr (requires { index_->PrefetchItems(SessionId{}); }) {
+        if (i + kItemPrefetchDistance < neighbors.size()) {
+          index_->PrefetchItems(neighbors[i + kItemPrefetchDistance].session);
+        }
+      }
+      const Neighbor& neighbor = neighbors[i];
+      const uint32_t match_position =
+          session_slots_[neighbor.session].stamp - stamp_base;
       const float weight =
           static_cast<float>(
-              MatchWeight(config_.match_weight, max_shared_position, len)) *
+              MatchWeight(config_.match_weight, match_position, len)) *
           neighbor.score;
       if (weight <= 0.0f) continue;
 
       // Neighbour item lists are distinct by construction (sorted-unique
       // at index build) — a precondition of the vectorized kernel, whose
       // per-block first-touch detection would double-count duplicates.
-      if constexpr (requires { index_->IdfData(); }) {
-        simd::AccumulateItemScores(neighbor_items.data(),
-                                   neighbor_items.size(), weight, config_.idf,
-                                   index_->IdfData(), epoch_,
-                                   item_score_slots_.data(), &touched_items_);
-      } else {
-        // Indexes without a dense float idf array (the updatable overlay
-        // computes IDF live from frequency counts) keep the scalar path.
-        for (const ItemId item : neighbor_items) {
-          float idf_factor = 1.0f;
-          switch (config_.idf) {
-            case IdfWeighting::kNone:
-              break;
-            case IdfWeighting::kLog:
-              idf_factor = static_cast<float>(index_->Idf(item));
-              break;
-            case IdfWeighting::kOnePlusLog:
-              idf_factor = 1.0f + static_cast<float>(index_->Idf(item));
-              break;
-          }
-          simd::ItemScoreSlot& slot = item_score_slots_[item];
-          if (slot.stamp != epoch_) {
-            slot.stamp = epoch_;
-            slot.score = 0.0f;
-            touched_items_.push_back(item);
-          }
-          slot.score += weight * idf_factor;
-        }
-      }
+      const std::span<const ItemId> neighbor_items =
+          index_->ItemsForSession(neighbor.session, &items_scratch_);
+      simd::AccumulateItemScores(neighbor_items.data(), neighbor_items.size(),
+                                 weight, config_.idf, index_->IdfData(),
+                                 epoch_, item_score_slots_.data(),
+                                 &touched_items_);
     }
 
     // Final top-n over the touched items: fill phase, then the
@@ -321,16 +308,17 @@ class VmisKnnT : public Recommender {
     // higher score, ties won by smaller item id). Session-item exclusion
     // is checked per surviving lane; the mask can only over-approve, and
     // Offer re-checks the threshold.
+    const auto excluded = [&](ItemId item) {
+      return config_.exclude_session_items &&
+             query_item_stamps_[item] == epoch_;
+    };
     BoundedTopK<internal::ItemKey, 8> top_n(how_many);
     const ItemId* touched = touched_items_.data();
     const size_t num_touched = touched_items_.size();
     size_t next = 0;
     while (next < num_touched && !top_n.full()) {
       const ItemId item = touched[next++];
-      if (config_.exclude_session_items &&
-          item_position_slots_[item].stamp == epoch_) {
-        continue;
-      }
+      if (excluded(item)) continue;
       top_n.Offer(
           internal::MakeItemKey(item_score_slots_[item].score, item));
     }
@@ -344,10 +332,7 @@ class VmisKnnT : public Recommender {
         const ItemId item =
             touched[next + static_cast<size_t>(std::countr_zero(mask))];
         mask &= mask - 1;
-        if (config_.exclude_session_items &&
-            item_position_slots_[item].stamp == epoch_) {
-          continue;
-        }
+        if (excluded(item)) continue;
         top_n.Offer(
             internal::MakeItemKey(item_score_slots_[item].score, item));
       }
@@ -365,32 +350,47 @@ class VmisKnnT : public Recommender {
   const KnnConfig& config() const { return config_; }
 
  private:
+  // Slots of the posting this many entries ahead are pulled into cache
+  // while the current one is decided; insert-heavy scans miss on most.
+  static constexpr size_t kSlotPrefetchDistance = 4;
+  // Neighbour item lists are random reads into the session CSR.
+  static constexpr size_t kItemPrefetchDistance = 4;
+  // Epochs occupy the stamp bits above the match position.
+  static constexpr uint32_t kMaxEpoch =
+      (uint32_t{1} << (32 - kMatchPositionBits)) - 1;
+
   template <size_t Arity, bool EarlyStop>
   void NeighborSessionsImpl(const std::vector<ItemId>& items,
                             std::vector<Neighbor>* neighbors) {
     const size_t m = config_.m;
     const size_t len = items.size();
+    const uint32_t stamp_base = StampBase();
 
     // Candidate state lives in the epoch-stamped dense slot array
-    // (indexed by session id): membership is `stamp == epoch_`, eviction
-    // stamps 0, and touched_sessions_ remembers which ids to visit in the
-    // top-k loop.
+    // (indexed by session id): membership is `stamp >= stamp_base`,
+    // eviction stamps 0, and touched_sessions_ remembers which ids to
+    // visit in the top-k loop. A session is touched at most once: once
+    // evicted it is older than every later candidate set's oldest
+    // member, so it can never be readmitted.
     //
-    // The recency heap b_t exists to answer one question — "which live
-    // candidate is oldest?" — and that question is only ever asked once
-    // the candidate set is full. So it is not maintained incrementally:
-    // inserts append their packed keys to a plain vector (recency_keys_)
-    // and one Floyd heapify runs at the moment `live` reaches m; queries
-    // whose candidate set never fills skip the ordering work entirely.
-    // Exact, because eviction decisions read only Top(), the unique
-    // minimum under the (timestamp, session) total order, which is
-    // independent of insertion order.
+    // Session ids ascend with end time, so the recency heap b_t holds
+    // bare ids and its root — the smallest id — is the oldest candidate.
+    // The heap exists to answer that one question, which is only asked
+    // once the candidate set is full. So it is not maintained
+    // incrementally: the moment `live` reaches m, the touched ids (no
+    // eviction has happened yet, so they are exactly the live set) are
+    // copied and Floyd-heapified once; queries whose candidate set never
+    // fills skip the ordering work entirely.
     touched_sessions_.clear();
-    recency_keys_.clear();
-    recency_keys_.reserve(m);
     size_t live = 0;
     bool heap_built = false;
-    DaryHeap<internal::RecencyKey, Arity> recency_heap;
+    DaryHeap<SessionId, Arity> recency_heap;
+    const auto build_heap = [&] {
+      recency_ids_.assign(touched_sessions_.begin(), touched_sessions_.end());
+      recency_heap.Assign(std::move(recency_ids_));
+      recency_heap.Heapify();
+      heap_built = true;
+    };
 
     // Item intersection loop: most recent items first (reverse insertion
     // order). Duplicate items are only processed at their most recent
@@ -410,191 +410,98 @@ class VmisKnnT : public Recommender {
       }
       if (duplicate) continue;
 
-      // Hint the next query item's posting arrays into cache while this
+      // Hint the next query item's posting list into cache while this
       // item's list is being scanned.
       if constexpr (requires { index_->PrefetchPostings(item); }) {
         if (position > 0) index_->PrefetchPostings(items[position - 1]);
       }
 
-      const PostingsRef postings = GetPostings(item);
+      const std::span<const SessionId> postings =
+          index_->SessionsForItem(item, &posting_scratch_);
+      const SessionId* sessions = postings.data();
       const float decay = static_cast<float>(
           DecayWeight(config_.decay, position + 1, len));  // pi_i
+      // The match position recorded at first insert. Exact: a final
+      // candidate lies in the truncated posting list of EVERY query item
+      // it contains (otherwise m newer sessions containing that item
+      // would have displaced it), and items are visited most recent
+      // first — so its first insert happens at its most recent shared
+      // item, max(omega(s) ⊙ n).
+      const uint32_t stamp = stamp_base | static_cast<uint32_t>(position + 1);
       const size_t limit =
-          std::min(postings.size, m);  // index may retain more than query m
+          std::min(postings.size(), m);  // index may retain more than query m
 
-      if (touched_sessions_.empty()) {
+      if (live == 0) {
         // First non-empty posting list of the query: every candidate is
         // new and limit <= m, so all are admitted — a straight-line
         // stamping loop with no membership checks.
         for (size_t i = 0; i < limit; ++i) {
-          const SessionId candidate = postings.sessions[i];
-          session_slots_[candidate] =
-              simd::SessionSlot{epoch_, decay, postings.timestamps[i]};
-          touched_sessions_.push_back(candidate);
-          recency_keys_.push_back(
-              internal::MakeRecencyKey(postings.timestamps[i], candidate));
+          session_slots_[sessions[i]] = internal::SessionSlot{stamp, decay};
         }
+        touched_sessions_.assign(sessions, sessions + limit);
         live = limit;
-        if (live == m) {
-          recency_heap.Assign(std::move(recency_keys_));
-          recency_heap.Heapify();
-          heap_built = true;
-        }
+        if (live == m) build_heap();
         continue;
       }
 
-      size_t idx = 0;
-      // Fill regime: while a whole block of inserts could still be
-      // admitted (live + lanes <= m), no eviction can occur inside the
-      // block, so the FillRun kernel decides all lanes with ONE gathered
-      // membership test — eight independent slot loads in flight instead
-      // of the per-candidate load-check-store chain exposing its misses
-      // one at a time.
-      while (idx + simd::kBlockLanes <= limit &&
-             live + simd::kBlockLanes <= m) {
-        const size_t prefetch_end =
-            std::min(idx + 2 * simd::kBlockLanes, limit);
-        for (size_t p = idx + simd::kBlockLanes; p < prefetch_end; ++p) {
-          __builtin_prefetch(&session_slots_[postings.sessions[p]], 1);
+      for (size_t idx = 0; idx < limit; ++idx) {
+        if (idx + kSlotPrefetchDistance < limit) {
+          __builtin_prefetch(
+              &session_slots_[sessions[idx + kSlotPrefetchDistance]], 1);
         }
-        live += simd::FillRun(postings.sessions + idx,
-                              postings.timestamps + idx, simd::kBlockLanes,
-                              decay, epoch_, session_slots_.data(),
-                              &touched_sessions_, &recency_keys_);
-        idx += simd::kBlockLanes;
-      }
-      if (live == m && !heap_built) {
-        recency_heap.Assign(std::move(recency_keys_));
-        recency_heap.Heapify();
-        heap_built = true;
-      }
-
-      while (idx < limit) {
-        const SessionId candidate = postings.sessions[idx];
-        if (session_slots_[candidate].stamp == epoch_) {
-          // Bulk-consume the run of candidates that are already members:
-          // the kernel adds `decay` to each and stops at the first
-          // non-member. The inline stamp check above keeps the dominant
-          // insert-heavy case free of the call — the kernel is only
-          // entered when a run has actually started.
-          idx += simd::ConsumeMemberRun(postings.sessions + idx,
-                                        limit - idx, decay,
-                                        session_slots_.data(), epoch_);
+        const SessionId candidate = sessions[idx];
+        internal::SessionSlot& slot = session_slots_[candidate];
+        if (slot.stamp >= stamp_base) {
+          slot.score += decay;
           continue;
         }
-
-        // Pull the slot lines of the next few candidates while this one
-        // is decided — insert-heavy scans miss on most of them.
-        if (idx + 4 < limit) {
-          __builtin_prefetch(&session_slots_[postings.sessions[idx + 4]], 1);
-        }
-
-        const Timestamp candidate_time = postings.timestamps[idx];
-        ++idx;
         if (live < m) {
-          session_slots_[candidate] =
-              simd::SessionSlot{epoch_, decay, candidate_time};
+          slot = internal::SessionSlot{stamp, decay};
           touched_sessions_.push_back(candidate);
-          recency_keys_.push_back(
-              internal::MakeRecencyKey(candidate_time, candidate));
-          if (++live == m) {
-            recency_heap.Assign(std::move(recency_keys_));
-            recency_heap.Heapify();
-            heap_built = true;
-          }
+          if (++live == m) build_heap();
           continue;
         }
-        // Recency is a total order (timestamp, then session id — ids
-        // ascend with end time, and the packed key compares both at
-        // once): this makes early stopping exact even when several
-        // sessions share a second-resolution timestamp.
-        const internal::RecencyKey candidate_key =
-            internal::MakeRecencyKey(candidate_time, candidate);
-        const internal::RecencyKey oldest = recency_heap.Top();
-        if (candidate_key > oldest) {
-          session_slots_[internal::RecencyKeySession(oldest)].stamp =
-              0;  // evict
-          session_slots_[candidate] =
-              simd::SessionSlot{epoch_, decay, candidate_time};
+        const SessionId oldest = recency_heap.Top();
+        if (candidate > oldest) {
+          session_slots_[oldest].stamp = 0;  // evict
+          slot = internal::SessionSlot{stamp, decay};
           touched_sessions_.push_back(candidate);
-          recency_heap.ReplaceTop(candidate_key);
+          recency_heap.ReplaceTop(candidate);
         } else if (EarlyStop) {
-          // Postings are sorted by descending recency: every remaining
-          // session is older and cannot displace the current oldest
-          // candidate (Algorithm 2, line 32).
+          // Postings descend in id, i.e. in recency: every remaining
+          // session is older than the current oldest candidate, so none
+          // is a member and none can displace it (Algorithm 2, line 32).
+          // Ids are a total order, so this is exact even when several
+          // sessions share one end timestamp.
           break;
         }
       }
     }
 
-    // Top-k similarity loop over the touched candidates. Two phases:
-    // while the result heap is filling, every live candidate is offered
-    // (evicted ones keep a dead stamp and are skipped); once it is full,
-    // only candidates that beat the current weakest kept neighbour under
-    // the full (score, timestamp, session) order can change it — the
-    // vectorized mask evaluates exactly that predicate per block, so the
-    // heap is only touched for genuine improvements. The block-start
-    // weakest is conservative: it only rises within a block, and Offer
-    // re-checks. Score and timestamp both come out of the one candidate
-    // slot stamped during the intersection loop — no index gather.
+    // Top-k similarity loop over the touched candidates (evicted ones
+    // keep a dead stamp and are skipped). Packed keys make every
+    // comparison one integer compare and unpack losslessly into the
+    // result order NeighborLess defines; timestamps are looked up for the
+    // <= k neighbours returned only.
     BoundedTopK<internal::NeighborKey, Arity> top_k(config_.k);
-    const SessionId* touched = touched_sessions_.data();
-    const size_t num_touched = touched_sessions_.size();
-    size_t next = 0;
-    while (next < num_touched && !top_k.full()) {
-      const SessionId session = touched[next++];
-      const simd::SessionSlot slot = session_slots_[session];
-      if (slot.stamp != epoch_) continue;
-      top_k.Offer(internal::MakeNeighborKey(slot.score, slot.time, session));
+    for (const SessionId session : touched_sessions_) {
+      const internal::SessionSlot slot = session_slots_[session];
+      if (slot.stamp < stamp_base) continue;
+      top_k.Offer(internal::MakeNeighborKey(slot.score, session));
     }
-    while (next < num_touched) {
-      const size_t block = std::min(simd::kBlockLanes, num_touched - next);
-      const Neighbor weakest = internal::NeighborFromKey(top_k.Weakest());
-      uint32_t mask = simd::BeatsNeighborMask(
-          touched + next, block, session_slots_.data(), epoch_,
-          weakest.score, weakest.timestamp, weakest.session);
-      while (mask != 0) {
-        const SessionId session =
-            touched[next + static_cast<size_t>(std::countr_zero(mask))];
-        mask &= mask - 1;
-        const simd::SessionSlot slot = session_slots_[session];
-        top_k.Offer(
-            internal::MakeNeighborKey(slot.score, slot.time, session));
-      }
-      next += block;
-    }
-    // Packed keys sort descending with one integer compare per step and
-    // unpack losslessly into the result order NeighborLess defines.
     const std::vector<internal::NeighborKey> sorted_keys =
         top_k.TakeSortedDescending();
     neighbors->reserve(sorted_keys.size());
     for (const internal::NeighborKey key : sorted_keys) {
-      neighbors->push_back(internal::NeighborFromKey(key));
+      const auto session = static_cast<SessionId>(static_cast<uint32_t>(key));
+      neighbors->push_back(
+          Neighbor{session,
+                   internal::ScoreFromKeyBits(static_cast<uint32_t>(key >> 32)),
+                   index_->SessionTimestamp(session)});
     }
 
-    // Reclaim the key buffer's capacity if the heap adopted it.
-    if (heap_built) recency_keys_ = recency_heap.TakeElements();
-  }
-
-  /// Fetches `item`'s posting list as parallel (session, timestamp)
-  /// arrays: directly from indexes implementing the SoA concept, or
-  /// assembled into scratch via the legacy per-candidate interface.
-  PostingsRef GetPostings(ItemId item) {
-    if constexpr (requires { index_->PostingsForItem(item,
-                                                    &posting_scratch_); }) {
-      return index_->PostingsForItem(item, &posting_scratch_);
-    } else {
-      const std::span<const SessionId> sessions =
-          index_->SessionsForItem(item, &posting_scratch_.sessions);
-      posting_scratch_.timestamps.clear();
-      posting_scratch_.timestamps.reserve(sessions.size());
-      for (const SessionId session : sessions) {
-        posting_scratch_.timestamps.push_back(
-            index_->SessionTimestamp(session));
-      }
-      return {sessions.data(), posting_scratch_.timestamps.data(),
-              sessions.size()};
-    }
+    // Reclaim the id buffer's capacity if the heap adopted it.
+    if (heap_built) recency_ids_ = recency_heap.TakeElements();
   }
 
   /// Truncates the evolving session to the configured cap, most recent
@@ -608,28 +515,30 @@ class VmisKnnT : public Recommender {
                       session.end());
   }
 
+  /// Smallest live session stamp of the current epoch.
+  uint32_t StampBase() const { return epoch_ << kMatchPositionBits; }
+
   /// Grows the dense scoring slot arrays to the index's item and session
   /// universes and starts a new query epoch. Stamp 0 means "never
-  /// touched" (or evicted), so epoch_ skips 0: on uint32 wrap-around the
-  /// slots are reset and the epoch restarts at 1, preventing a stale
-  /// stamp from ever aliasing a live one.
+  /// touched" (or evicted), so epoch_ skips 0: when it outgrows the
+  /// stamp bits the slots are reset and the epoch restarts at 1,
+  /// preventing a stale stamp from ever aliasing a live one.
   void BumpEpoch() {
     const size_t num_items = index_->num_items();
     if (item_score_slots_.size() < num_items) {
       item_score_slots_.resize(num_items);
-      item_position_slots_.resize(num_items);
+      query_item_stamps_.resize(num_items);
     }
     const size_t num_sessions = index_->num_sessions();
     if (session_slots_.size() < num_sessions) {
       session_slots_.resize(num_sessions);
     }
-    if (++epoch_ == 0) {
+    if (++epoch_ > kMaxEpoch) {
       std::fill(item_score_slots_.begin(), item_score_slots_.end(),
                 simd::ItemScoreSlot{});
-      std::fill(item_position_slots_.begin(), item_position_slots_.end(),
-                simd::ItemPositionSlot{});
+      std::fill(query_item_stamps_.begin(), query_item_stamps_.end(), 0u);
       std::fill(session_slots_.begin(), session_slots_.end(),
-                simd::SessionSlot{});
+                internal::SessionSlot{});
       epoch_ = 1;
     }
   }
@@ -639,23 +548,20 @@ class VmisKnnT : public Recommender {
 
   // Per-query scratch, reused across calls to avoid allocation churn.
   std::vector<ItemId> truncated_;
-  PostingScratch posting_scratch_;
+  std::vector<SessionId> posting_scratch_;
   std::vector<ItemId> items_scratch_;
 
-  // Epoch-stamped dense scoring state (see BumpEpoch and the slot types
-  // in knn_kernels.h): an entry is live only when its stamp equals
-  // epoch_, so per-query clearing is one increment instead of a hash-map
-  // clear. Stamp, score and cached timestamp share one slot, so a
-  // candidate insert or lookup touches a single cache line and the
-  // vector kernels fetch whole records with 64-bit gathers. The price is
-  // O(|I| + |H|) memory per recommender instance (16 bytes/item + 16
+  // Epoch-stamped dense scoring state (see BumpEpoch and SessionSlot):
+  // an entry is live only when its stamp belongs to epoch_, so per-query
+  // clearing is one increment instead of a hash-map clear. The price is
+  // O(|I| + |H|) memory per recommender instance (12 bytes/item + 8
   // bytes/session), a deliberate serving-side trade against the paper's
   // purely m-bounded per-query state.
-  std::vector<simd::SessionSlot> session_slots_;           // r + b_t times
+  std::vector<internal::SessionSlot> session_slots_;  // r + b_t membership
   std::vector<SessionId> touched_sessions_;
-  std::vector<internal::RecencyKey> recency_keys_;         // b_t bulk build
-  std::vector<simd::ItemScoreSlot> item_score_slots_;      // d
-  std::vector<simd::ItemPositionSlot> item_position_slots_;  // omega lookup
+  std::vector<SessionId> recency_ids_;  // b_t storage, reused
+  std::vector<simd::ItemScoreSlot> item_score_slots_;  // d
+  std::vector<uint32_t> query_item_stamps_;  // evolving-session items
   std::vector<ItemId> touched_items_;
   uint32_t epoch_ = 0;
 };

@@ -284,9 +284,53 @@ StatusOr<SessionIndex> DeserializeIndex(const std::string& bytes) {
       raw.item_frequencies.size() != raw.item_idf.size()) {
     return Status::Corruption("frequency count mismatch");
   }
+  // The invariants the query engine relies on without re-checking them
+  // per query (DESIGN.md §11): every stored id indexes a dense array,
+  // session ids ascend with end time, and each posting list is a
+  // strictly descending (i.e. most-recent-first) run of at most m ids.
+  const auto monotone = [](const std::vector<uint64_t>& offsets) {
+    if (offsets.front() != 0) return false;
+    for (size_t i = 1; i < offsets.size(); ++i) {
+      if (offsets[i] < offsets[i - 1]) return false;
+    }
+    return true;
+  };
+  if (!monotone(raw.item_offsets) || !monotone(raw.session_offsets)) {
+    return Status::Corruption("offsets not monotone");
+  }
   const size_t num_sessions = raw.session_timestamps.size();
-  for (SessionId s : raw.session_lists) {
-    if (s >= num_sessions) return Status::Corruption("session id out of range");
+  for (size_t s = 1; s < num_sessions; ++s) {
+    if (raw.session_timestamps[s] < raw.session_timestamps[s - 1]) {
+      return Status::Corruption("session timestamps decrease with session id");
+    }
+  }
+  const size_t num_items = raw.item_idf.size();
+  for (size_t s = 0; s < num_sessions; ++s) {
+    const uint64_t begin = raw.session_offsets[s];
+    for (uint64_t j = begin; j < raw.session_offsets[s + 1]; ++j) {
+      if (raw.session_items[j] >= num_items) {
+        return Status::Corruption("session item id out of range");
+      }
+      if (j > begin && raw.session_items[j] <= raw.session_items[j - 1]) {
+        return Status::Corruption("session items not strictly ascending");
+      }
+    }
+  }
+  for (size_t i = 0; i < num_items; ++i) {
+    const uint64_t begin = raw.item_offsets[i];
+    const uint64_t end = raw.item_offsets[i + 1];
+    if (end - begin > raw.max_sessions_per_item) {
+      return Status::Corruption(
+          "posting list longer than max_sessions_per_item");
+    }
+    for (uint64_t j = begin; j < end; ++j) {
+      if (raw.session_lists[j] >= num_sessions) {
+        return Status::Corruption("session id out of range");
+      }
+      if (j > begin && raw.session_lists[j] >= raw.session_lists[j - 1]) {
+        return Status::Corruption("posting list not strictly descending");
+      }
+    }
   }
   return SessionIndex::FromRaw(std::move(raw));
 }

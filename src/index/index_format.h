@@ -48,7 +48,12 @@ namespace serenade {
 Status WriteIndexFile(const std::string& path, const SessionIndex& index);
 
 /// Loads an index previously written by WriteIndexFile. Returns
-/// kCorruption for truncated files, bad magic/version or CRC mismatches.
+/// kCorruption for truncated files, bad magic/version or CRC mismatches,
+/// and for CRC-clean artifacts that break the query engine's invariants:
+/// offsets that are not monotone, ids out of range, session items not
+/// strictly ascending, session timestamps that decrease with id, and
+/// posting lists that are not strictly descending in id or are longer
+/// than max_sessions_per_item.
 StatusOr<SessionIndex> ReadIndexFile(const std::string& path);
 
 /// In-memory variants (used by tests and by the replication path of the

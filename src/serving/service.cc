@@ -57,6 +57,12 @@ StatusOr<std::unique_ptr<SerenadeService>> SerenadeService::Create(
   if (manager == nullptr) {
     return Status::InvalidArgument("index manager must not be null");
   }
+  // Checked here so a worker's lazily built VmisKnn never throws.
+  if (config.knn.max_session_length > kMaxVmisSessionLength) {
+    return Status::InvalidArgument(
+        "knn.max_session_length exceeds " +
+        std::to_string(kMaxVmisSessionLength));
+  }
   // Validates the boot snapshot and guards every future reload (same
   // InvalidArgument as a direct ValidateIndexForKnn failure).
   SERENADE_RETURN_IF_ERROR(

@@ -108,6 +108,58 @@ TEST(DifferentialKnnTest, PostingLengthEdgesAgreeAcrossEngines) {
   }
 }
 
+TEST(DifferentialKnnTest, EvictionAndFirstTouchSweepAgreesWithVsKnn) {
+  // VMIS-kNN records a candidate's match position when the candidate is
+  // first inserted instead of rescanning its items. This sweep targets
+  // exactly the regimes where that could go wrong: a 6-item vocabulary
+  // over 300 sessions makes every posting list far longer than m, so
+  // candidates are evicted and early stopping fires on every list;
+  // queries repeat items and run past the session cap. Every match weight
+  // reads the recorded position. (Shared end timestamps are covered by
+  // VmisKnnTest.SharedEndTimestampsTieBreakBySessionId: the overlay arm
+  // here re-sessionizes histories, which may renumber tied sessions.)
+  Rng rng(kPinnedSeed + 500);
+  std::vector<Click> clicks;
+  for (size_t s = 0; s < 300; ++s) {
+    const size_t length = 1 + rng.Below(4);
+    for (size_t i = 0; i < length; ++i) {
+      clicks.push_back(Click{static_cast<SessionId>(s),
+                             static_cast<ItemId>(rng.Below(6)),
+                             static_cast<Timestamp>(1000 + s)});
+    }
+  }
+  std::vector<EvolvingSession> queries(24);
+  for (EvolvingSession& query : queries) {
+    const size_t length = 1 + rng.Below(14);
+    for (size_t i = 0; i < length; ++i) {
+      query.push_back(static_cast<ItemId>(rng.Below(6)));
+    }
+  }
+
+  for (const size_t m : {size_t{1}, size_t{2}, size_t{7}}) {
+    for (const size_t cap : {size_t{1}, size_t{10}}) {
+      for (const MatchWeightType weight :
+           {MatchWeightType::kConstant, MatchWeightType::kPaperInsertionOrder,
+            MatchWeightType::kStepsFromEnd}) {
+        DiffCase c;
+        c.train = Dataset::FromClicks(clicks, /*min_session_length=*/1);
+        c.queries = queries;
+        c.knn.m = m;
+        c.knn.k = m;
+        c.knn.max_session_length = cap;
+        c.knn.match_weight = weight;
+        c.knn.vs_length_norm = false;
+        const auto divergence = CheckDiffCase(c, /*include_service=*/false);
+        ASSERT_FALSE(divergence.has_value())
+            << "m=" << m << " cap=" << cap << " weight="
+            << MatchWeightTypeName(weight) << ": " << divergence->engine_a
+            << " vs " << divergence->engine_b << "\n"
+            << divergence->detail;
+      }
+    }
+  }
+}
+
 TEST(DifferentialKnnTest, MutationSelfCheckIsCaught) {
   // A harness that cannot fail proves nothing. Perturb the no-opt
   // engine's output and demand the oracle notices — on many seeds, so a

@@ -99,6 +99,91 @@ TEST(IndexFormatTest, RejectsBitFlips) {
   }
 }
 
+// Codec torture for logically corrupt but CRC-clean artifacts: each case
+// breaks exactly one invariant of a valid index's raw arrays, serializes
+// it (FromRaw does not validate), and expects that one rejection.
+class IndexInvariantTortureTest : public ::testing::Test {
+ protected:
+  // Small enough to pick specific entries; m = 4 leaves some items with
+  // full posting lists and some with shorter ones.
+  SessionIndex::Raw ValidRaw() const {
+    std::vector<Click> clicks;
+    for (SessionId s = 0; s < 40; ++s) {
+      clicks.push_back({s, static_cast<ItemId>(s % 5), 100u + 2 * s});
+      clicks.push_back({s, static_cast<ItemId>(5 + s % 3), 101u + 2 * s});
+    }
+    return SessionIndex::Build(Dataset::FromClicks(clicks), 4).ToRaw();
+  }
+
+  static void ExpectRejected(SessionIndex::Raw raw,
+                             const std::string& message) {
+    const auto result =
+        DeserializeIndex(SerializeIndex(SessionIndex::FromRaw(std::move(raw))));
+    ASSERT_FALSE(result.ok()) << "expected rejection: " << message;
+    EXPECT_EQ(result.status().code(), StatusCode::kCorruption);
+    EXPECT_NE(result.status().ToString().find(message), std::string::npos)
+        << result.status().ToString();
+  }
+};
+
+TEST_F(IndexInvariantTortureTest, ValidRawLoads) {
+  EXPECT_TRUE(
+      DeserializeIndex(SerializeIndex(SessionIndex::FromRaw(ValidRaw()))).ok());
+}
+
+TEST_F(IndexInvariantTortureTest, RejectsSessionItemOutOfRange) {
+  SessionIndex::Raw raw = ValidRaw();
+  // The last item of a session, so the list stays ascending.
+  raw.session_items[raw.session_offsets[1] - 1] =
+      static_cast<ItemId>(raw.item_idf.size());
+  ExpectRejected(std::move(raw), "session item id out of range");
+}
+
+TEST_F(IndexInvariantTortureTest, RejectsUnsortedSessionItems) {
+  SessionIndex::Raw raw = ValidRaw();
+  std::swap(raw.session_items[0], raw.session_items[1]);
+  ExpectRejected(std::move(raw), "session items not strictly ascending");
+}
+
+TEST_F(IndexInvariantTortureTest, RejectsNonMonotoneItemOffsets) {
+  SessionIndex::Raw raw = ValidRaw();
+  raw.item_offsets[1] = raw.item_offsets[2] + 1;
+  ExpectRejected(std::move(raw), "offsets not monotone");
+}
+
+TEST_F(IndexInvariantTortureTest, RejectsNonMonotoneSessionOffsets) {
+  SessionIndex::Raw raw = ValidRaw();
+  raw.session_offsets[1] = raw.session_offsets[2] + 1;
+  ExpectRejected(std::move(raw), "offsets not monotone");
+}
+
+TEST_F(IndexInvariantTortureTest, RejectsTimestampsDecreasingWithId) {
+  SessionIndex::Raw raw = ValidRaw();
+  raw.session_timestamps[10] = raw.session_timestamps[9] - 1;
+  ExpectRejected(std::move(raw), "session timestamps decrease with session id");
+}
+
+TEST_F(IndexInvariantTortureTest, RejectsAscendingPostings) {
+  SessionIndex::Raw raw = ValidRaw();
+  ASSERT_GE(raw.item_offsets[1], 2u);
+  std::swap(raw.session_lists[0], raw.session_lists[1]);
+  ExpectRejected(std::move(raw), "posting list not strictly descending");
+}
+
+TEST_F(IndexInvariantTortureTest, RejectsDuplicatePosting) {
+  SessionIndex::Raw raw = ValidRaw();
+  raw.session_lists[1] = raw.session_lists[0];
+  ExpectRejected(std::move(raw), "posting list not strictly descending");
+}
+
+TEST_F(IndexInvariantTortureTest, RejectsPostingListLongerThanM) {
+  SessionIndex::Raw raw = ValidRaw();
+  ASSERT_EQ(raw.item_offsets[1], raw.max_sessions_per_item);
+  raw.max_sessions_per_item -= 1;
+  ExpectRejected(std::move(raw),
+                 "posting list longer than max_sessions_per_item");
+}
+
 TEST(IndexFormatTest, MissingFileIsIoError) {
   EXPECT_EQ(ReadIndexFile("/nonexistent/index.srn").status().code(),
             StatusCode::kIoError);

@@ -14,7 +14,6 @@
 #include "eval/evaluator.h"
 #include "index/index_builder.h"
 #include "index/index_format.h"
-#include "index/updatable_index.h"
 #include "serving/json.h"
 #include "serving/server.h"
 
@@ -144,8 +143,8 @@ TEST(IntegrationTest, JanitorEvictsIdleSessions) {
 }
 
 TEST(IntegrationTest, UpdatableIndexServesBrandNewItems) {
-  // A brand-new item enters the catalog after the nightly build; with the
-  // incremental index it becomes recommendable without a rebuild.
+  // A brand-new item enters the catalog after the nightly build; merged in
+  // by a streamed index delta it becomes recommendable without a rebuild.
   SyntheticConfig config;
   config.seed = 1003;
   config.num_items = 300;
@@ -153,17 +152,23 @@ TEST(IntegrationTest, UpdatableIndexServesBrandNewItems) {
   config.num_days = 4;
   Dataset train = GenerateDataset(config);
 
-  UpdatableSessionIndex index(SessionIndex::Build(train, 200));
+  const SessionIndex base = SessionIndex::Build(train, 200);
   const ItemId new_item = static_cast<ItemId>(train.num_items() + 1);
   // Several fresh sessions pair the new item with item 5.
+  IndexDelta delta;
+  delta.base_version = 1;
+  delta.delta_version = 2;
   for (int i = 0; i < 30; ++i) {
-    index.Ingest({5, new_item}, train.max_timestamp() + 100 + i);
+    delta.sessions.push_back(DeltaSession{
+        {5, new_item}, train.max_timestamp() + 100 + i, /*observed=*/0});
   }
+  auto index = ApplyDeltaToIndex(base, delta);
+  ASSERT_TRUE(index.ok()) << index.status().ToString();
 
   KnnConfig knn_config;
   knn_config.m = 200;
   knn_config.k = 50;
-  VmisKnnT<UpdatableSessionIndex> model(&index, knn_config);
+  VmisKnn model(&*index, knn_config);
   const auto recs = model.RecommendNext({5}, 20);
   bool found = false;
   for (const ScoredItem& rec : recs) found |= rec.item == new_item;

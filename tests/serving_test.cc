@@ -217,6 +217,16 @@ TEST_F(ServiceTest, RejectsMLargerThanIndex) {
   EXPECT_FALSE(service.ok());
 }
 
+TEST_F(ServiceTest, RejectsSessionLengthBeyondStoredPosition) {
+  ServiceConfig config;
+  config.knn.m = 500;
+  config.knn.k = 100;
+  config.knn.max_session_length = kMaxVmisSessionLength + 1;
+  auto service = SerenadeService::Create(index_, catalog_, config);
+  ASSERT_FALSE(service.ok());
+  EXPECT_EQ(service.status().code(), StatusCode::kInvalidArgument);
+}
+
 TEST_F(ServiceTest, StoredSessionLengthCapped) {
   ServiceConfig config;
   config.knn.m = 500;

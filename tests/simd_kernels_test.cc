@@ -25,57 +25,41 @@ namespace {
 using simd::Level;
 
 // Lengths around the 8-lane block width, plus 0/1 and a multi-block+tail
-// shape. Mask kernels and FillRun cap at kBlockLanes; the loop kernels
-// take them all.
+// shape. The mask kernel caps at kBlockLanes; the accumulate kernel
+// takes them all.
 constexpr size_t kEdgeLengths[] = {0, 1, 7, 8, 9, 16, 17, 33};
 constexpr size_t kMaxOffset = 4;  // unaligned bases 0..3
 constexpr uint32_t kEpoch = 7;
 
 struct KernelCase {
-  std::vector<SessionId> ids;       // distinct ids, kMaxOffset slack ahead
-  std::vector<Timestamp> times;     // parallel to ids
-  std::vector<simd::SessionSlot> session_slots;
+  std::vector<ItemId> ids;  // distinct ids, kMaxOffset slack ahead
   std::vector<simd::ItemScoreSlot> score_slots;
-  std::vector<simd::ItemPositionSlot> position_slots;
   std::vector<float> idf;
 };
 
-// A universe of 160 ids with ~half the slots live at kEpoch, scores and
-// timestamps drawn small enough to collide often (ties are the hard
-// part of the Beats* predicates). ids is a permutation of the whole
-// universe, so every window — any offset, any edge length — holds
-// distinct ids, the precondition all the run kernels share.
+// A universe of 160 ids with ~half the slots live at kEpoch and scores
+// drawn small enough to collide often (ties are the hard part of the
+// BeatsItemMask predicate). ids is a permutation of the whole universe,
+// so every window — any offset, any edge length — holds distinct ids,
+// the precondition of AccumulateItemScores.
 KernelCase MakeCase(uint64_t seed) {
   Rng rng(seed);
   KernelCase c;
   const size_t universe = 160;
   c.ids.resize(universe);
   for (size_t i = 0; i < c.ids.size(); ++i) {
-    c.ids[i] = static_cast<SessionId>(i);
+    c.ids[i] = static_cast<ItemId>(i);
   }
   // Shuffle so adjacent lanes hit scattered slots.
   for (size_t i = c.ids.size(); i > 1; --i) {
     std::swap(c.ids[i - 1], c.ids[rng.Below(i)]);
   }
-  c.times.resize(c.ids.size());
-  for (auto& t : c.times) t = 100 + rng.Below(50);
-
-  c.session_slots.resize(universe);
   c.score_slots.resize(universe);
-  c.position_slots.resize(universe);
   c.idf.resize(universe);
   for (size_t i = 0; i < universe; ++i) {
-    const bool live = rng.Bernoulli(0.5);
-    c.session_slots[i] =
-        simd::SessionSlot{live ? kEpoch : kEpoch - 1,
-                          0.25f * static_cast<float>(rng.Below(8)),
-                          100 + rng.Below(50)};
     c.score_slots[i] = simd::ItemScoreSlot{
         rng.Bernoulli(0.5) ? kEpoch : 0u,
         0.25f * static_cast<float>(rng.Below(8))};
-    c.position_slots[i] = simd::ItemPositionSlot{
-        rng.Bernoulli(0.5) ? kEpoch : 0u,
-        static_cast<uint32_t>(1 + rng.Below(10))};
     c.idf[i] = 0.1f * static_cast<float>(1 + rng.Below(30));
   }
   return c;
@@ -100,92 +84,6 @@ void ForEachEdge(Fn&& fn) {
 TEST(SimdKernelsTest, LevelsAreEngageable) {
   ASSERT_TRUE(simd::SetActiveLevel(Level::kScalar));
   ASSERT_TRUE(simd::SetActiveLevel(simd::BestSupportedLevel()));
-}
-
-TEST(SimdKernelsTest, ConsumeMemberRunMatchesScalarAtEdges) {
-  ForEachEdge([](uint64_t seed, size_t length, size_t offset) {
-    const KernelCase base = MakeCase(seed);
-    // Arrange a member prefix of every possible length within the run by
-    // stamping the first `prefix` ids live and the next one dead.
-    for (size_t prefix : {size_t{0}, size_t{1}, length / 2, length}) {
-      if (prefix > length) continue;
-      KernelCase c = base;
-      for (size_t i = 0; i < length; ++i) {
-        c.session_slots[c.ids[offset + i]].stamp =
-            i < prefix ? kEpoch : kEpoch - 1;
-      }
-      auto scalar_slots = c.session_slots;
-      auto simd_slots = c.session_slots;
-      size_t scalar_n, simd_n;
-      {
-        simd::ScopedLevel level(Level::kScalar);
-        scalar_n = simd::ConsumeMemberRun(c.ids.data() + offset, length,
-                                          0.375f, scalar_slots.data(), kEpoch);
-      }
-      {
-        simd::ScopedLevel level(simd::BestSupportedLevel());
-        simd_n = simd::ConsumeMemberRun(c.ids.data() + offset, length, 0.375f,
-                                        simd_slots.data(), kEpoch);
-      }
-      ASSERT_EQ(scalar_n, simd_n)
-          << "seed=" << seed << " len=" << length << " off=" << offset
-          << " prefix=" << prefix;
-      ASSERT_TRUE(SameBytes(scalar_slots.data(), simd_slots.data(),
-                            scalar_slots.size() * sizeof(simd::SessionSlot)));
-    }
-  });
-}
-
-TEST(SimdKernelsTest, FillRunMatchesScalarAtEdges) {
-  ForEachEdge([](uint64_t seed, size_t length, size_t offset) {
-    if (length > simd::kBlockLanes) return;  // contract: one block max
-    const KernelCase c = MakeCase(seed);
-    auto scalar_slots = c.session_slots;
-    auto simd_slots = c.session_slots;
-    std::vector<SessionId> scalar_touched, simd_touched;
-    std::vector<simd::RecencyKey> scalar_keys, simd_keys;
-    size_t scalar_n, simd_n;
-    {
-      simd::ScopedLevel level(Level::kScalar);
-      scalar_n = simd::FillRun(c.ids.data() + offset, c.times.data() + offset,
-                               length, 0.5f, kEpoch, scalar_slots.data(),
-                               &scalar_touched, &scalar_keys);
-    }
-    {
-      simd::ScopedLevel level(simd::BestSupportedLevel());
-      simd_n = simd::FillRun(c.ids.data() + offset, c.times.data() + offset,
-                             length, 0.5f, kEpoch, simd_slots.data(),
-                             &simd_touched, &simd_keys);
-    }
-    ASSERT_EQ(scalar_n, simd_n)
-        << "seed=" << seed << " len=" << length << " off=" << offset;
-    ASSERT_EQ(scalar_touched, simd_touched);
-    ASSERT_EQ(scalar_keys.size(), simd_keys.size());
-    for (size_t i = 0; i < scalar_keys.size(); ++i) {
-      ASSERT_TRUE(scalar_keys[i] == simd_keys[i]) << "key " << i;
-    }
-    ASSERT_TRUE(SameBytes(scalar_slots.data(), simd_slots.data(),
-                          scalar_slots.size() * sizeof(simd::SessionSlot)));
-  });
-}
-
-TEST(SimdKernelsTest, MaxSharedPositionMatchesScalarAtEdges) {
-  ForEachEdge([](uint64_t seed, size_t length, size_t offset) {
-    const KernelCase c = MakeCase(seed);
-    uint32_t scalar_r, simd_r;
-    {
-      simd::ScopedLevel level(Level::kScalar);
-      scalar_r = simd::MaxSharedPosition(c.ids.data() + offset, length,
-                                         c.position_slots.data(), kEpoch);
-    }
-    {
-      simd::ScopedLevel level(simd::BestSupportedLevel());
-      simd_r = simd::MaxSharedPosition(c.ids.data() + offset, length,
-                                       c.position_slots.data(), kEpoch);
-    }
-    ASSERT_EQ(scalar_r, simd_r)
-        << "seed=" << seed << " len=" << length << " off=" << offset;
-  });
 }
 
 TEST(SimdKernelsTest, AccumulateItemScoresMatchesScalarAtEdges) {
@@ -215,38 +113,6 @@ TEST(SimdKernelsTest, AccumulateItemScoresMatchesScalarAtEdges) {
                                 sizeof(simd::ItemScoreSlot)));
     });
   }
-}
-
-TEST(SimdKernelsTest, BeatsNeighborMaskMatchesScalarAtEdges) {
-  ForEachEdge([](uint64_t seed, size_t length, size_t offset) {
-    if (length > simd::kBlockLanes) return;
-    const KernelCase c = MakeCase(seed);
-    // Thresholds drawn from the same quantized score/time universe so
-    // equality branches actually fire.
-    Rng rng(seed * 31 + 5);
-    for (int t = 0; t < 8; ++t) {
-      const float weakest_score = 0.25f * static_cast<float>(rng.Below(8));
-      const Timestamp weakest_time = 100 + rng.Below(50);
-      const SessionId weakest_session = static_cast<SessionId>(rng.Below(128));
-      uint32_t scalar_m, simd_m;
-      {
-        simd::ScopedLevel level(Level::kScalar);
-        scalar_m = simd::BeatsNeighborMask(
-            c.ids.data() + offset, length, c.session_slots.data(), kEpoch,
-            weakest_score, weakest_time, weakest_session);
-      }
-      {
-        simd::ScopedLevel level(simd::BestSupportedLevel());
-        simd_m = simd::BeatsNeighborMask(
-            c.ids.data() + offset, length, c.session_slots.data(), kEpoch,
-            weakest_score, weakest_time, weakest_session);
-      }
-      ASSERT_EQ(scalar_m, simd_m)
-          << "seed=" << seed << " len=" << length << " off=" << offset
-          << " score=" << weakest_score << " time=" << weakest_time
-          << " session=" << weakest_session;
-    }
-  });
 }
 
 TEST(SimdKernelsTest, BeatsItemMaskMatchesScalarAtEdges) {

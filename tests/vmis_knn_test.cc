@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <set>
+#include <stdexcept>
 
 #include <gtest/gtest.h>
 
@@ -162,6 +163,50 @@ TEST(VmisKnnTest, EvictionKeepsMostRecentCandidates) {
   ASSERT_EQ(neighbors.size(), 2u);
   std::set<Timestamp> times{neighbors[0].timestamp, neighbors[1].timestamp};
   EXPECT_EQ(times, (std::set<Timestamp>{401, 501}));
+}
+
+TEST(VmisKnnTest, SharedEndTimestampsTieBreakBySessionId) {
+  // 40 sessions end in the same second and all contain item 7, so every
+  // neighbour ties on score AND timestamp: NeighborLess then orders by
+  // session id, and m = 25 must keep the 25 largest ids.
+  std::vector<Click> clicks;
+  for (SessionId s = 0; s < 40; ++s) {
+    clicks.push_back({s, 7, 500});
+    clicks.push_back({s, 100 + s, 500});
+  }
+  Dataset dataset = Dataset::FromClicks(clicks);
+  SessionIndex index = SessionIndex::Build(dataset, 40);
+  KnnConfig config;
+  config.m = 25;
+  config.k = 10;
+  VmisKnn model(&index, config);
+  const auto neighbors = model.NeighborSessions({7});
+
+  std::vector<Neighbor> expected;
+  for (SessionId s = 15; s < 40; ++s) {
+    expected.push_back(Neighbor{s, 1.0f, 500});
+  }
+  std::sort(expected.begin(), expected.end(),
+            [](const Neighbor& a, const Neighbor& b) {
+              return internal::NeighborLess{}(b, a);
+            });
+  expected.resize(config.k);
+  EXPECT_EQ(neighbors, expected);
+  EXPECT_EQ(neighbors.front().session, 39u);
+  EXPECT_EQ(neighbors.back().session, 30u);
+  // The VS-kNN reference samples and ranks by (timestamp, session id).
+  VsKnn reference(dataset, config);
+  EXPECT_EQ(reference.NeighborSessions({7}), expected);
+}
+
+TEST(VmisKnnTest, RejectsSessionLengthBeyondStoredPosition) {
+  Dataset dataset = ToyDataset();
+  SessionIndex index = SessionIndex::Build(dataset, 10);
+  KnnConfig config = ToyConfig();
+  config.max_session_length = kMaxVmisSessionLength;
+  EXPECT_NO_THROW({ VmisKnn model(&index, config); });
+  config.max_session_length = kMaxVmisSessionLength + 1;
+  EXPECT_THROW({ VmisKnn model(&index, config); }, std::invalid_argument);
 }
 
 // --- Equivalence properties -------------------------------------------------
