@@ -93,19 +93,10 @@ inline std::string CpuFeatures() {
   return features.empty() ? "baseline" : features;
 }
 
-/// Whether the tree compiled the vector kernels (-DSERENADE_SIMD).
-inline const char* SimdBuild() {
-#if defined(SERENADE_SIMD_ENABLED)
-  return "on";
-#else
-  return "off";
-#endif
-}
-
 /// Collects flat name/value metrics and writes them as one JSON object:
 ///   {"benchmark":"index_swap",
 ///    "meta":{"git_sha":"...","build_type":"Release",
-///            "cpu_features":"sse4.2+avx+avx2","simd_build":"on"},
+///            "cpu_features":"sse4.2+avx+avx2"},
 ///    "metrics":{"steady_p99_us":123.0,...}}
 /// Tiny on purpose — CI plots and regression checks only need key/value;
 /// the meta block is provenance, never compared numerically.
@@ -129,10 +120,10 @@ class JsonResultWriter {
     }
     std::fprintf(file,
                  "{\"benchmark\":\"%s\",\"meta\":{\"git_sha\":\"%s\","
-                 "\"build_type\":\"%s\",\"cpu_features\":\"%s\","
-                 "\"simd_build\":\"%s\"},\"metrics\":{",
+                 "\"build_type\":\"%s\",\"cpu_features\":\"%s\"},"
+                 "\"metrics\":{",
                  benchmark_name_.c_str(), GitSha().c_str(), BuildType(),
-                 CpuFeatures().c_str(), SimdBuild());
+                 CpuFeatures().c_str());
     for (size_t i = 0; i < metrics_.size(); ++i) {
       std::fprintf(file, "%s\"%s\":%.6g", i == 0 ? "" : ",",
                    metrics_[i].first.c_str(), metrics_[i].second);

@@ -7,27 +7,19 @@
 //   (a) latency vs m                  -> near-linear growth
 //   (b) latency vs session length |s| -> near-linear growth
 //   (c) latency vs |H| at fixed m     -> flat (the headline property)
-//   (d) scalar vs SIMD kernel dispatch at m=500 (DESIGN.md §11): the
-//       same engine, same queries, dispatch pinned per arm — plus
-//       cache-resident per-kernel micro numbers for the two dispatched
-//       scoring-pass kernels, where the vector win is not masked by
-//       memory stalls. Results are bit-identical across arms; only time
-//       differs.
 //
 // Medians are exact (sorted samples), not histogram bucket midpoints,
-// whose ~1.6% resolution would round nearby arms onto the same value.
+// whose ~1.6% resolution would round nearby sweep points onto the same
+// value.
 //
-// With SERENADE_BENCH_JSON set, the (c) flatness ratio and the (d)
-// scalar/SIMD numbers are written for the CI regression gate
-// (tools/check_bench_regression.py).
+// With SERENADE_BENCH_JSON set, the (c) flatness ratio is written for the
+// CI regression gate (tools/check_bench_regression.py).
 #include <algorithm>
 #include <cstdio>
 #include <vector>
 
 #include "bench_common.h"
-#include "common/rng.h"
 #include "common/stopwatch.h"
-#include "core/knn_kernels.h"
 #include "core/session_index.h"
 #include "core/vmis_knn.h"
 #include "data/split.h"
@@ -46,20 +38,16 @@ Dataset MakeData(size_t sessions, size_t items, uint64_t seed = 0xc03) {
   return GenerateDataset(config);
 }
 
-// Times NeighborSessions (Algorithm 2's neighbour computation), or with
-// `full_query` the whole RecommendNext, whose scoring pass runs the
-// dispatched kernels.
+// Times NeighborSessions (Algorithm 2's neighbour computation).
 uint64_t MedianLatencyNanos(const SessionIndex& index, const KnnConfig& config,
-                            const std::vector<EvolvingSession>& queries,
-                            bool full_query = false) {
+                            const std::vector<EvolvingSession>& queries) {
   VmisKnn model(&index, config);
   std::vector<uint64_t> samples;
   samples.reserve(5 * queries.size());
   for (int rep = 0; rep < 5; ++rep) {
     for (const EvolvingSession& query : queries) {
       Stopwatch stopwatch;
-      const size_t size = full_query ? model.RecommendNext(query, 21).size()
-                                     : model.NeighborSessions(query).size();
+      const size_t size = model.NeighborSessions(query).size();
       samples.push_back(stopwatch.ElapsedNanos());
       (void)size;
     }
@@ -180,123 +168,6 @@ int main() {
         "microseconds.\n",
         last_step);
     json.Add("history_flatness_last_step", last_step);
-  }
-
-  // --- (d) scalar vs SIMD dispatch at m=500 -------------------------------
-  {
-    bench::PrintSection(
-        "(d) scalar vs SIMD kernel dispatch (RecommendNext, m=500, k=100)");
-    std::printf("dispatch: %s\n", simd::DescribeDispatch().c_str());
-    Dataset dataset = MakeData(static_cast<size_t>(30000 * scale),
-                               static_cast<size_t>(5000 * scale), 0xc06);
-    TrainTestSplit split = SplitLastDays(dataset, 1);
-    SessionIndex index = SessionIndex::Build(split.train, 500);
-    const auto queries = QueriesOfLength(split.test, 4, 200);
-    KnnConfig config;
-    config.m = 500;
-    config.k = 100;
-
-    uint64_t scalar_ns = 0;
-    uint64_t simd_ns = 0;
-    {
-      simd::ScopedLevel level(simd::Level::kScalar);
-      scalar_ns = MedianLatencyNanos(index, config, queries, true);
-    }
-    {
-      simd::ScopedLevel level(simd::BestSupportedLevel());
-      simd_ns = MedianLatencyNanos(index, config, queries, true);
-    }
-    const bool has_simd = simd::BestSupportedLevel() != simd::Level::kScalar;
-    std::printf("%16s %14llu ns/query\n", "scalar",
-                static_cast<unsigned long long>(scalar_ns));
-    std::printf("%16s %14llu ns/query (%.2fx)\n",
-                simd::LevelName(simd::BestSupportedLevel()),
-                static_cast<unsigned long long>(simd_ns),
-                simd_ns > 0 ? static_cast<double>(scalar_ns) / simd_ns : 0.0);
-    json.Add("scalar_median_ns_m500", static_cast<double>(scalar_ns));
-    json.Add("simd_median_ns_m500", static_cast<double>(simd_ns));
-    if (has_simd && simd_ns > 0) {
-      json.Add("simd_speedup_m500",
-               static_cast<double>(scalar_ns) / static_cast<double>(simd_ns));
-    }
-
-    // Per-kernel micro numbers on cache-resident slot arrays: the two
-    // dispatched scoring-pass kernels, isolated from the engine's
-    // memory-bound candidate inserts (which dilute the end-to-end delta
-    // above).
-    Rng rng(0xd1);
-    const size_t universe = 4096;
-    std::vector<simd::ItemScoreSlot> score_slots(universe);
-    std::vector<float> idf(universe);
-    std::vector<ItemId> ids(universe);
-    for (size_t i = 0; i < universe; ++i) {
-      ids[i] = static_cast<ItemId>(i);
-      idf[i] = 0.01f * static_cast<float>(1 + rng.Below(300));
-    }
-    for (size_t i = universe; i > 1; --i) {
-      std::swap(ids[i - 1], ids[rng.Below(i)]);
-    }
-    std::vector<ItemId> touched;
-    touched.reserve(universe);
-    uint32_t epoch = 0;
-    // Min over rounds that alternate the arms: interference from other
-    // processes only ever adds time, so the fastest round is the
-    // kernel's own cost.
-    const auto kernel_ns = [&](simd::Level level, auto&& body) {
-      simd::ScopedLevel scoped(level);
-      const int reps = 500;
-      Stopwatch stopwatch;
-      uint64_t sink = 0;
-      for (int r = 0; r < reps; ++r) sink += body();
-      const double ns = static_cast<double>(stopwatch.ElapsedNanos());
-      (void)sink;
-      return ns / (static_cast<double>(reps) * universe);
-    };
-    const auto min_kernel_ns = [&](auto&& body, double* scalar,
-                                   double* vector) {
-      *scalar = *vector = 1e300;
-      for (int round = 0; round < 9; ++round) {
-        *scalar = std::min(*scalar, kernel_ns(simd::Level::kScalar, body));
-        *vector =
-            std::min(*vector, kernel_ns(simd::BestSupportedLevel(), body));
-      }
-    };
-    // One neighbour-list pass per call in a fresh epoch, so every slot
-    // takes the first-touch path as in a real query.
-    const auto accumulate = [&]() -> uint64_t {
-      touched.clear();
-      simd::AccumulateItemScores(ids.data(), universe, 0.75f,
-                                 IdfWeighting::kLog, idf.data(), ++epoch,
-                                 score_slots.data(), &touched);
-      return touched.size();
-    };
-    const auto mask = [&]() -> uint64_t {
-      uint64_t acc = 0;
-      for (size_t i = 0; i + 8 <= universe; i += 8) {
-        acc += simd::BeatsItemMask(ids.data() + i, 8, score_slots.data(),
-                                   1.5f, 100);
-      }
-      return acc;
-    };
-    double accumulate_scalar = 0, accumulate_simd = 0;
-    double mask_scalar = 0, mask_simd = 0;
-    min_kernel_ns(accumulate, &accumulate_scalar, &accumulate_simd);
-    min_kernel_ns(mask, &mask_scalar, &mask_simd);
-    std::printf("kernel AccumulateItemScores: scalar %.2f ns/id, %s %.2f "
-                "ns/id (%.2fx)\n",
-                accumulate_scalar, simd::LevelName(simd::BestSupportedLevel()),
-                accumulate_simd,
-                accumulate_simd > 0 ? accumulate_scalar / accumulate_simd
-                                    : 0.0);
-    std::printf("kernel BeatsItemMask: scalar %.2f ns/id, %s %.2f ns/id "
-                "(%.2fx)\n",
-                mask_scalar, simd::LevelName(simd::BestSupportedLevel()),
-                mask_simd, mask_simd > 0 ? mask_scalar / mask_simd : 0.0);
-    if (has_simd && accumulate_simd > 0 && mask_simd > 0) {
-      json.Add("kernel_accumulate_speedup",
-               accumulate_scalar / accumulate_simd);
-      json.Add("kernel_item_mask_speedup", mask_scalar / mask_simd);
-    }
   }
 
   if (!json.WriteTo(bench::JsonPathFromEnv())) return 1;

@@ -16,7 +16,6 @@
 #include "bench_common.h"
 #include "common/rng.h"
 
-#include "core/knn_kernels.h"
 #include "core/session_index.h"
 #include "core/vmis_knn.h"
 #include "core/vs_knn.h"
@@ -117,26 +116,6 @@ void BM_VmisKnn(benchmark::State& state) {
         model.NeighborSessions(shared.queries[i % shared.queries.size()]));
     ++i;
   }
-  state.SetLabel(simd::LevelName(simd::ActiveLevel()));
-}
-
-// The scalar-vs-SIMD arm: the same engine with the kernel dispatch
-// pinned to the scalar references, so the delta against BM_VmisKnn is
-// exactly the vector kernels' contribution (results are bit-identical —
-// differential_knn_test and simd_kernels_test pin that, this arm only
-// measures). On scalar-only builds or CPUs both arms coincide.
-void BM_VmisKnnScalar(benchmark::State& state) {
-  BenchState& shared = BenchState::Get();
-  const size_t m = static_cast<size_t>(state.range(0));
-  simd::ScopedLevel level(simd::Level::kScalar);
-  VmisKnn model(shared.indexes[m].get(), ConfigForM(m));
-  size_t i = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        model.NeighborSessions(shared.queries[i % shared.queries.size()]));
-    ++i;
-  }
-  state.SetLabel(simd::LevelName(simd::Level::kScalar));
 }
 
 BENCHMARK(BM_VsKnn)->Arg(100)->Arg(250)->Arg(500)->Arg(1000)
@@ -144,8 +123,6 @@ BENCHMARK(BM_VsKnn)->Arg(100)->Arg(250)->Arg(500)->Arg(1000)
 BENCHMARK(BM_VmisKnnNoOpt)->Arg(100)->Arg(250)->Arg(500)->Arg(1000)
     ->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_VmisKnn)->Arg(100)->Arg(250)->Arg(500)->Arg(1000)
-    ->Unit(benchmark::kMicrosecond);
-BENCHMARK(BM_VmisKnnScalar)->Arg(100)->Arg(250)->Arg(500)->Arg(1000)
     ->Unit(benchmark::kMicrosecond);
 
 }  // namespace

@@ -21,7 +21,8 @@ class HashRing {
  public:
   /// More virtual nodes smooth the load split at the cost of ring size;
   /// 128 keeps the max/min node share within ~2x for small fleets.
-  explicit HashRing(size_t virtual_nodes_per_node = 128);
+  HashRing() : HashRing(128) {}
+  explicit HashRing(size_t virtual_nodes_per_node);
 
   /// Adds a node (idempotent).
   void AddNode(const std::string& node);

@@ -143,9 +143,6 @@ class BoundedTopK {
   size_t capacity() const { return k_; }
   bool full() const { return heap_.size() == k_; }
 
-  /// The weakest element currently kept. Must be non-empty.
-  const T& Weakest() const { return heap_.Top(); }
-
   /// Offers a candidate; keeps it iff it beats the current weakest (or the
   /// heap is not yet full). Returns true if the candidate was kept.
   bool Offer(T value) {

@@ -44,7 +44,7 @@ class CompressedSessionIndex {
   std::span<const SessionId> SessionsForItem(
       ItemId item, std::vector<SessionId>* scratch) const;
 
-  /// Dense per-item IDF array for the vectorized scoring kernel.
+  /// Dense per-item IDF array for the scoring pass.
   const float* IdfData() const { return item_idf_.data(); }
 
   /// Decodes the distinct-item list of `session` into `scratch`.

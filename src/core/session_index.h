@@ -75,8 +75,8 @@ class SessionIndex {
     __builtin_prefetch(session_items_.data() + session_offsets_[session]);
   }
 
-  /// Dense per-item IDF array (num_items() floats) for the vectorized
-  /// scoring kernel. Entries equal static_cast<float>(Idf(item)).
+  /// Dense per-item IDF array (num_items() floats) for the scoring
+  /// pass. Entries equal static_cast<float>(Idf(item)).
   const float* IdfData() const { return item_idf_.data(); }
 
   /// Timestamp of a historical session (the array t of the paper).

@@ -4,7 +4,6 @@
 #include <chrono>
 
 #include "common/stopwatch.h"
-#include "core/knn_kernels.h"
 #include "index/index_format.h"
 #include "serving/json.h"
 
@@ -754,9 +753,7 @@ HttpResponse SerenadeServer::HandleStats() {
       .Key("engine_requests_vmis")
       .Value(engine_requests_[0].load(std::memory_order_relaxed))
       .Key("engine_requests_ann")
-      .Value(engine_requests_[1].load(std::memory_order_relaxed))
-      .Key("simd_level")
-      .Value(simd::LevelName(simd::ActiveLevel()));
+      .Value(engine_requests_[1].load(std::memory_order_relaxed));
   for (const auto& extra : stats_extras_) extra(writer);
   writer.EndObject();
   return HttpResponse::Json(writer.str());

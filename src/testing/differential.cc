@@ -6,7 +6,6 @@
 #include <sstream>
 
 #include "core/compressed_index.h"
-#include "core/knn_kernels.h"
 #include "core/session_index.h"
 #include "core/vs_knn.h"
 #include "data/synthetic.h"
@@ -222,7 +221,6 @@ std::optional<DiffDivergence> CheckDiffCase(const DiffCase& c,
 
   VmisKnn vmis(index.get(), c.knn);
   VmisKnn vmis_no_opt(index.get(), NoOptConfig(c.knn));
-  VmisKnn vmis_scalar(index.get(), c.knn);
   VsKnn vs(c.train, c.knn);
   const CompressedSessionIndex compressed =
       CompressedSessionIndex::FromIndex(*index);
@@ -263,17 +261,6 @@ std::optional<DiffDivergence> CheckDiffCase(const DiffCase& c,
 
     if (auto diff = CompareRanked(expected, vs.RecommendNext(query, c.top_n))) {
       return DiffDivergence{"vmis-knn", "vs-knn", qi, *diff};
-    }
-
-    // SIMD bit-identity: the same engine forced to the scalar kernels
-    // must reproduce the active level's results exactly. (A no-op when
-    // the build or CPU is scalar-only — both runs take the same path.)
-    {
-      simd::ScopedLevel scalar_level(simd::Level::kScalar);
-      if (auto diff = CompareRanked(
-              expected, vmis_scalar.RecommendNext(query, c.top_n))) {
-        return DiffDivergence{"vmis-knn", "vmis-knn-scalar", qi, *diff};
-      }
     }
 
     // The compressed index's fused decode path must be invisible to the

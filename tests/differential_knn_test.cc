@@ -1,9 +1,8 @@
 // Differential-correctness harness (testing/differential.h): random
-// click histories and evolving sessions, one query through six engines
-// — VS-kNN, VMIS-kNN, the no-opt VMIS variant, VMIS forced to the
-// scalar SIMD level, VMIS over the compressed index's fused decode
-// path, and the micro-batched service path — demanding bit-identical
-// scores and ranks.
+// click histories and evolving sessions, one query through five engines
+// — VS-kNN, VMIS-kNN, the no-opt VMIS variant, VMIS over the compressed
+// index's fused decode path, and the micro-batched service path —
+// demanding bit-identical scores and ranks.
 //
 // The CI smoke below generates >= 5,000 random sessions under a pinned
 // seed with zero tolerated divergence, and the mutation self-check
@@ -63,12 +62,12 @@ TEST(DifferentialKnnTest, KernelOnlyFuzzCoversWiderShapes) {
 }
 
 TEST(DifferentialKnnTest, PostingLengthEdgesAgreeAcrossEngines) {
-  // Deliberately constructed histories whose posting lists sit exactly at
-  // the SIMD block boundaries (lengths 0, 1, 7, 8, 9, 16, 17, 33): item j
+  // Deliberately constructed histories whose posting lists sit at and
+  // around multiples of eight (lengths 0, 1, 7, 8, 9, 16, 17, 33): item j
   // appears in the first length[j] sessions, and the query touches every
   // item, so the intersection loop scans each edge-length list. Swept
-  // over m values around the block width so the fill-regime/eviction
-  // transition lands mid-block, on the boundary, and far beyond it.
+  // over m values around those lengths so the fill-regime/eviction
+  // transition lands inside a list, on its end, and far beyond it.
   const size_t lengths[] = {0, 1, 7, 8, 9, 16, 17, 33};
   std::vector<Click> clicks;
   Timestamp now = 1000;

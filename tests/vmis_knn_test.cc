@@ -1,6 +1,8 @@
 #include "core/vmis_knn.h"
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
 #include <set>
 #include <stdexcept>
 
@@ -317,6 +319,81 @@ TEST(VmisVsKnnEquivalence, NeighborsMatchWithoutEviction) {
     std::set_intersection(set_a.begin(), set_a.end(), set_b.begin(),
                           set_b.end(), std::back_inserter(intersection));
     EXPECT_GE(intersection.size(), a.size() * 9 / 10);
+  }
+}
+
+TEST(VmisKnnTest, TopNTiesMatchBruteForceSort) {
+  // 30 sessions share query item 1; items 200-202 sit in ten sessions
+  // each and item 100 + s in session s alone. Under the default log idf
+  // item 1 scores exactly 0 and the thirty single-session items tie, so
+  // every cut below lands inside or next to a tie. Neighbours arrive
+  // newest first, so the tied items are offered largest id first and the
+  // top-n must displace them to keep the smaller ids.
+  std::vector<Click> clicks;
+  for (SessionId s = 0; s < 30; ++s) {
+    clicks.push_back({s, 1, 500 + s});
+    clicks.push_back({s, 200 + s % 3, 500 + s});
+    clicks.push_back({s, 100 + s, 500 + s});
+  }
+  Dataset dataset = Dataset::FromClicks(clicks);
+  SessionIndex index = SessionIndex::Build(dataset, 30);
+  KnnConfig config;
+  config.m = 30;
+  config.k = 30;
+
+  // Every touched item with its score (how_many exceeds the 34 touched
+  // items, so nothing is cut), brute-force sorted by ScoredItemLess.
+  VmisKnn model(&index, config);
+  std::vector<ScoredItem> all = model.RecommendNext({1}, index.num_items());
+  ASSERT_EQ(all.size(), 34u);
+  std::sort(all.begin(), all.end(),
+            [](const ScoredItem& a, const ScoredItem& b) {
+              return internal::ScoredItemLess{}(b, a);
+            });
+  EXPECT_EQ(all.back(), (ScoredItem{1, 0.0f}));
+  EXPECT_EQ(std::count_if(all.begin(), all.end(),
+                          [&](const ScoredItem& s) {
+                            return s.score == all[3].score;
+                          }),
+            30);
+
+  for (const bool exclude : {false, true}) {
+    config.exclude_session_items = exclude;
+    VmisKnn cut_model(&index, config);
+    std::vector<ScoredItem> expected = all;
+    if (exclude) expected.pop_back();  // item 1, the session's own item
+    for (const size_t how_many : {1u, 4u, 10u, 33u}) {
+      std::vector<ScoredItem> prefix(
+          expected.begin(),
+          expected.begin() +
+              static_cast<ptrdiff_t>(std::min(how_many, expected.size())));
+      EXPECT_EQ(cut_model.RecommendNext({1}, how_many), prefix)
+          << "exclude=" << exclude << " how_many=" << how_many;
+    }
+  }
+
+  // The packed item key orders ties, zero and adjacent floats exactly as
+  // ScoredItemLess does, and unpacks losslessly.
+  const float scores[] = {0.0f,
+                          std::numeric_limits<float>::denorm_min(),
+                          std::nextafter(0.75f, 0.0f),
+                          0.75f,
+                          std::nextafter(0.75f, 1.0f),
+                          1.0f,
+                          std::numeric_limits<float>::max()};
+  const ItemId items[] = {0, 1, 2, 1000, kInvalidItem - 1};
+  std::vector<ScoredItem> candidates;
+  for (const float score : scores) {
+    for (const ItemId item : items) candidates.push_back({item, score});
+  }
+  for (const ScoredItem& a : candidates) {
+    const internal::ItemKey key_a = internal::MakeItemKey(a.score, a.item);
+    EXPECT_EQ(internal::ScoredItemFromKey(key_a), a);
+    for (const ScoredItem& b : candidates) {
+      EXPECT_EQ(key_a < internal::MakeItemKey(b.score, b.item),
+                internal::ScoredItemLess{}(a, b))
+          << a.item << "@" << a.score << " vs " << b.item << "@" << b.score;
+    }
   }
 }
 

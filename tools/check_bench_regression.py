@@ -15,7 +15,7 @@ Two input schemas are understood:
 
 Baselines are always stored in the flat schema (google-benchmark results
 are normalised on --update), so a baseline diff in review reads as plain
-metric/value pairs. The "meta" block (git SHA, CPU features, SIMD build)
+metric/value pairs. The "meta" block (git SHA, build type, CPU features)
 is provenance: it is recorded and displayed but never compared
 numerically — except build_type, where comparing a Debug run against a
 Release baseline is refused outright.
@@ -48,8 +48,7 @@ with fields
                        the baseline (use for counts that must stay 0 and
                        ratios with a hard floor)
   required             if true, the metric missing from the results is
-                       itself a failure (default false: a scalar-only
-                       build legitimately omits the SIMD speedups)
+                       itself a failure (default false)
 """
 
 import argparse

@@ -54,7 +54,6 @@
 #include <cstdio>
 #include <thread>
 
-#include "core/knn_kernels.h"
 #include "data/synthetic.h"
 #include "flags.h"
 #include "freshness/click_tap.h"
@@ -237,7 +236,6 @@ int main(int argc, char** argv) {
       server.port(), service_config.knn.m, service_config.knn.k,
       static_cast<unsigned long long>(service_config.store.ttl_seconds),
       server.port());
-  std::printf("kernel dispatch: %s\n", simd::DescribeDispatch().c_str());
 
   std::signal(SIGINT, HandleSignal);
   std::signal(SIGTERM, HandleSignal);
