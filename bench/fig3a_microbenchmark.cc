@@ -30,7 +30,6 @@ struct BenchState {
   Dataset train;
   std::vector<EvolvingSession> queries;
   std::map<size_t, std::unique_ptr<SessionIndex>> indexes;
-  std::unique_ptr<VsKnn> vs_knn_by_m[2];  // unused; VsKnn built per m below
 
   static BenchState& Get() {
     static BenchState* state = [] {

@@ -102,7 +102,7 @@ int main() {
       while (!stop.load(std::memory_order_relaxed)) {
         const std::string session =
             "bench-" + std::to_string(c) + "-" + std::to_string(rng.Below(500));
-        const std::string target = "/recommend?session_id=" + session +
+        const std::string target = "/v1/recommend?session_id=" + session +
                                    "&item_id=" +
                                    std::to_string(rng.Below(train.num_items()));
         Stopwatch stopwatch;

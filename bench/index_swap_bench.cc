@@ -2,8 +2,8 @@
 // anything? One serving pod under steady closed-loop /recommend load,
 // measured in two phases of equal length:
 //   phase A  steady state — no swaps
-//   phase B  a POST /admin/reload every 500 ms, alternating between two
-//            full-size index artifacts
+//   phase B  a POST /v1/admin/index/reload every 500 ms, alternating
+//            between two full-size index artifacts
 // The RCU snapshot design predicts phase B's p99 stays within noise of
 // phase A (the swap is a pointer store; in-flight requests keep their
 // pinned snapshot), and zero requests may fail during rollouts.
@@ -55,7 +55,7 @@ PhaseResult RunPhase(uint16_t port, double seconds, size_t threads,
       uint64_t i = 0;
       while (!stop.load(std::memory_order_relaxed)) {
         const std::string target =
-            "/recommend?session_id=bench-" + std::to_string(t) +
+            "/v1/recommend?session_id=bench-" + std::to_string(t) +
             "&item_id=" + std::to_string((t * 131 + i++) % num_items);
         const auto start = std::chrono::steady_clock::now();
         auto response = client.Get(target);
@@ -85,7 +85,7 @@ PhaseResult RunPhase(uint16_t port, double seconds, size_t threads,
           std::chrono::milliseconds(swap_interval_ms));
       const std::string& target = use_b ? path_b : path_a;
       use_b = !use_b;
-      auto response = admin.Post("/admin/reload?path=" + target, "");
+      auto response = admin.Post("/v1/admin/index/reload?path=" + target, "");
       if (response.ok() && response->status == 200) {
         ++result.swaps;
       } else {
@@ -126,7 +126,8 @@ void PrintPhase(const char* name, const PhaseResult& result, double seconds) {
 int main() {
   bench::PrintHeader(
       "Index hot-swap", "Section 3 (index replication / rollout)",
-      "p99 under periodic /admin/reload vs steady state on one pod.");
+      "p99 under periodic /v1/admin/index/reload vs steady state on one "
+      "pod.");
   const double scale = bench::ScaleFromEnv();
 
   // Two full-size artifacts to alternate between, as a nightly rollout

@@ -80,7 +80,7 @@ int main() {
     if (!client.Connect(ports[pod]).ok()) return 1;
     std::printf("\nvisitor %s -> pod %zu\n", visitor.c_str(), pod);
     for (ItemId item : {100u, 101u, 350u}) {
-      auto response = client.Get("/recommend?session_id=" + visitor +
+      auto response = client.Get("/v1/recommend?session_id=" + visitor +
                                  "&item_id=" + std::to_string(item));
       if (!response.ok() || response->status != 200) {
         std::fprintf(stderr, "request failed\n");

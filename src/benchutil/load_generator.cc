@@ -126,7 +126,7 @@ LoadResult RunLoad(const std::vector<LoadEvent>& events,
       }
       const uint64_t sent_at = clock.ElapsedMicros();
       auto response = client.Get(
-          "/recommend?session_id=" + event->session_key +
+          "/v1/recommend?session_id=" + event->session_key +
           "&item_id=" + std::to_string(event->item) +
           (event->consent ? "" : "&consent=false"));
       const uint64_t latency = clock.ElapsedMicros() - sent_at;

@@ -85,60 +85,66 @@ ClusterGateway::ClusterGateway(std::vector<BackendEndpoint> backends,
   health_ = std::make_unique<HealthChecker>(std::move(endpoints),
                                             config_.health);
 
-  // Health-derived gauges pull from the checker at scrape time, so a
-  // scrape always sees the current ejection state, never a cached copy.
-  registry_.AddCallback(
-      "gateway_backend_healthy", "whether the backend is routable",
-      MetricType::kGauge, "backend", [this]() -> std::vector<MetricSample> {
-        std::vector<MetricSample> samples;
-        for (const BackendHealth& entry : health_->Snapshot()) {
-          samples.push_back({entry.name, entry.healthy ? 1u : 0u});
-        }
-        return samples;
-      });
-  registry_.AddCallback(
-      "gateway_backend_index_version",
-      "index snapshot version last reported by the backend",
-      MetricType::kGauge, "backend", [this]() -> std::vector<MetricSample> {
-        std::vector<MetricSample> samples;
-        for (const BackendHealth& entry : health_->Snapshot()) {
-          samples.push_back({entry.name, entry.index_version});
-        }
-        return samples;
-      });
-  registry_.AddCallback(
-      "gateway_backend_index_freshness_seconds",
-      "index freshness (age of newest servable click) last reported by "
-      "the backend",
-      MetricType::kGauge, "backend", [this]() -> std::vector<MetricSample> {
-        std::vector<MetricSample> samples;
-        for (const BackendHealth& entry : health_->Snapshot()) {
-          samples.push_back({entry.name, entry.index_freshness_seconds});
-        }
-        return samples;
-      });
-  // Replication-lag view of the fleet: how far each pod's ring successor
-  // trails its WAL, as last reported over /v1/healthz.
-  registry_.AddCallback(
-      "gateway_backend_replica_lag_bytes",
-      "WAL bytes the backend's ring successor has not yet acknowledged",
-      MetricType::kGauge, "backend", [this]() -> std::vector<MetricSample> {
-        std::vector<MetricSample> samples;
-        for (const BackendHealth& entry : health_->Snapshot()) {
-          samples.push_back({entry.name, entry.replica_lag_bytes});
-        }
-        return samples;
-      });
-  registry_.AddCallback(
-      "gateway_backend_ring_epoch",
-      "fleet-membership epoch the backend last adopted", MetricType::kGauge,
-      "backend", [this]() -> std::vector<MetricSample> {
-        std::vector<MetricSample> samples;
-        for (const BackendHealth& entry : health_->Snapshot()) {
-          samples.push_back({entry.name, entry.ring_epoch});
-        }
-        return samples;
-      });
+  // Per-backend health families pull from the checker at scrape time,
+  // so a scrape always sees the current ejection state, never a cached
+  // copy. The replica-lag rows are the fleet's replication view: how far
+  // each pod's ring successor trails its WAL, as reported on /v1/healthz.
+  static constexpr struct {
+    const char* name;
+    const char* help;
+    MetricType type;
+    uint64_t (*field)(const BackendHealth&);
+  } kBackendFamilies[] = {
+      {"gateway_backend_healthy", "whether the backend is routable",
+       MetricType::kGauge,
+       [](const BackendHealth& b) -> uint64_t { return b.healthy; }},
+      {"gateway_backend_port", "127.0.0.1 port the backend serves on",
+       MetricType::kGauge,
+       [](const BackendHealth& b) -> uint64_t { return b.port; }},
+      {"gateway_backend_index_version",
+       "index snapshot version last reported by the backend",
+       MetricType::kGauge,
+       [](const BackendHealth& b) { return b.index_version; }},
+      {"gateway_backend_index_freshness_seconds",
+       "index freshness (age of newest servable click) last reported by "
+       "the backend",
+       MetricType::kGauge,
+       [](const BackendHealth& b) { return b.index_freshness_seconds; }},
+      {"gateway_backend_ejections_total",
+       "times the health checker ejected the backend", MetricType::kCounter,
+       [](const BackendHealth& b) { return b.ejections_total; }},
+      {"gateway_backend_probe_connects_total",
+       "health-probe connections dialed to the backend", MetricType::kCounter,
+       [](const BackendHealth& b) { return b.probe_connects_total; }},
+      {"gateway_backend_probe_reuses_total",
+       "health probes sent over a kept-alive connection",
+       MetricType::kCounter,
+       [](const BackendHealth& b) { return b.probe_reuses_total; }},
+      {"gateway_backend_replica_lag_bytes",
+       "WAL bytes the backend's ring successor has not yet acknowledged",
+       MetricType::kGauge,
+       [](const BackendHealth& b) { return b.replica_lag_bytes; }},
+      {"gateway_backend_replica_lag_milliseconds",
+       "milliseconds since the backend's ring successor was last caught up",
+       MetricType::kGauge,
+       [](const BackendHealth& b) {
+         return static_cast<uint64_t>(b.replica_lag_seconds * 1000.0);
+       }},
+      {"gateway_backend_ring_epoch",
+       "fleet-membership epoch the backend last adopted", MetricType::kGauge,
+       [](const BackendHealth& b) { return b.ring_epoch; }},
+  };
+  for (const auto& family : kBackendFamilies) {
+    registry_.AddCallback(
+        family.name, family.help, family.type, "backend",
+        [this, field = family.field] {
+          std::vector<MetricSample> samples;
+          for (const BackendHealth& entry : health_->Snapshot()) {
+            samples.push_back({entry.name, field(entry)});
+          }
+          return samples;
+        });
+  }
 }
 
 ClusterGateway::~ClusterGateway() { Stop(); }
@@ -146,9 +152,7 @@ ClusterGateway::~ClusterGateway() { Stop(); }
 void ClusterGateway::RegisterMetrics() {
   registry_.AddCallback(
       "gateway_requests_total", "requests accepted by the gateway",
-      MetricType::kCounter, "", [this]() -> std::vector<MetricSample> {
-        return {{"", requests_served()}};
-      });
+      MetricType::kCounter, [this] { return requests_served(); });
   forwarded_ok_ = &registry_.AddCounter("gateway_forwarded_ok_total",
                                         "requests answered by a backend");
   degraded_ = &registry_.AddCounter(
@@ -187,66 +191,49 @@ void ClusterGateway::RegisterMetrics() {
         "end-to-end forwarding latency per experiment arm", "engine",
         kArmNames[arm]);
   }
+  registry_.AddCallback(
+      "gateway_ab_ann_percent",
+      "percent of sessions bucketed into the ANN arm (0 = experiment off)",
+      MetricType::kGauge, [this] { return config_.ab_ann_percent; });
   ab_fallbacks_ = &registry_.AddCounter(
       "gateway_ab_fallbacks_total",
       "ANN-arm requests a pod actually served with VMIS (dead arm)");
   redirects_followed_ = &registry_.AddCounter(
       "gateway_redirects_followed_total",
       "mid-hand-off 307 redirects followed to a session's new owner");
+  registry_.AddCallback("gateway_ring_epoch", "current fleet-membership epoch",
+                        MetricType::kGauge, [this] { return ring_epoch(); });
   registry_.AddCallback(
-      "gateway_ring_epoch", "current fleet-membership epoch",
-      MetricType::kGauge, "", [this]() -> std::vector<MetricSample> {
-        return {{"", ring_epoch()}};
-      });
-  registry_.AddCallback(
-      "serenade_http_deprecated_requests_total",
-      "requests served via deprecated unversioned path aliases",
-      MetricType::kCounter, "", [this]() -> std::vector<MetricSample> {
-        return {{"", router_.deprecated_requests()}};
-      });
-  registry_.AddCallback(
-      "gateway_slow_requests_total",
-      "requests over the slow-request threshold", MetricType::kCounter, "",
-      [this]() -> std::vector<MetricSample> {
-        return {{"", slow_logger_.slow_requests_seen()}};
-      });
+      "gateway_slow_requests_total", "requests over the slow-request threshold",
+      MetricType::kCounter,
+      [this] { return slow_logger_.slow_requests_seen(); });
   // Keep-alive reuse on the gateway→pod hop: a warm fleet should show a
   // reuse ratio near 1 (each acquire served by a parked connection).
   registry_.AddCallback(
       "gateway_client_acquires_total",
       "pooled-client checkouts for forwarding attempts", MetricType::kCounter,
-      "", [this]() -> std::vector<MetricSample> {
-        return {{"", pool_->acquires_total()}};
-      });
+      [this] { return pool_->acquires_total(); });
   registry_.AddCallback(
       "gateway_client_reuses_total",
       "checkouts served by a parked keep-alive connection",
-      MetricType::kCounter, "", [this]() -> std::vector<MetricSample> {
-        return {{"", pool_->reuses_total()}};
-      });
+      MetricType::kCounter, [this] { return pool_->reuses_total(); });
   registry_.AddCallback(
       "gateway_client_discards_total",
       "pooled clients dropped (transport error or full shelf)",
-      MetricType::kCounter, "", [this]() -> std::vector<MetricSample> {
-        return {{"", pool_->discards_total()}};
-      });
+      MetricType::kCounter, [this] { return pool_->discards_total(); });
   // Front-door reactor counters (same family as the pod's serenade_*).
   registry_.AddCallback(
       "gateway_open_connections", "currently open HTTP connections",
-      MetricType::kGauge, "", [this]() -> std::vector<MetricSample> {
-        return {{"", http_ ? http_->stats().open_connections : 0}};
-      });
+      MetricType::kGauge,
+      [this] { return http_ ? http_->stats().open_connections : 0; });
   registry_.AddCallback(
       "gateway_shed_connections_total",
       "connections refused with 503 + Retry-After at the connection cap",
-      MetricType::kCounter, "", [this]() -> std::vector<MetricSample> {
-        return {{"", http_ ? http_->stats().shed : 0}};
-      });
+      MetricType::kCounter, [this] { return http_ ? http_->stats().shed : 0; });
   registry_.AddCallback(
       "gateway_reactor_loop_iterations_total", "event-loop wakeups",
-      MetricType::kCounter, "", [this]() -> std::vector<MetricSample> {
-        return {{"", http_ ? http_->stats().loop_iterations : 0}};
-      });
+      MetricType::kCounter,
+      [this] { return http_ ? http_->stats().loop_iterations : 0; });
   registry_.AddCallback(
       "gateway_connection_timeouts_total",
       "connections closed by the timer wheel", MetricType::kCounter, "kind",
@@ -264,7 +251,7 @@ void ClusterGateway::RegisterMetrics() {
       "per-attempt forwarding latency");
   request_latency_micros_ = &registry_.AddHistogram(
       "gateway_request_latency_microseconds",
-      "end-to-end /recommend handling latency at the gateway");
+      "end-to-end /v1/recommend handling latency at the gateway");
   for (TraceStage stage : kGatewayStages) {
     stage_micros_[static_cast<size_t>(stage)] = &registry_.AddHistogram(
         "gateway_stage_duration_microseconds",
@@ -576,14 +563,6 @@ void ClusterGateway::BuildRoutes() {
                  [this](const HttpRequest& request, Trace* trace) {
                    return HandleClusterRemove(request, trace);
                  });
-
-  // Pre-/v1 paths: same handlers (byte-identical bodies), marked
-  // deprecated on the way out. The forwarded target preserves the path
-  // the client used, so legacy traffic stays legacy on the pod hop too.
-  router_.Alias("/recommend", "/v1/recommend");
-  router_.Alias("/healthz", "/v1/healthz");
-  router_.Alias("/stats", "/v1/stats");
-  router_.Alias("/metrics", "/v1/metrics");
 }
 
 HttpResponse ClusterGateway::Handle(const HttpRequest& request) {
@@ -594,17 +573,15 @@ HttpResponse ClusterGateway::Handle(const HttpRequest& request) {
   trace.Record(TraceStage::kParse, request.parse_micros);
 
   HttpResponse response = router_.Dispatch(request, &trace);
-  // The backend echoes arrive lower-cased (header names are folded on
-  // parse); drop them so the response carries each header exactly once
-  // (the router re-adds Deprecation for legacy paths).
+  // The backend echo arrives lower-cased (header names are folded on
+  // parse); drop it so the response carries the header exactly once.
   response.headers.erase("x-serenade-trace-id");
-  response.headers.erase("deprecation");
   response.headers[kTraceIdHeader] = trace.id();
 
   // Request-level latency metrics cover the recommend routes only, so
   // metrics scrapes and health probes don't dilute the histograms.
-  const std::string& canonical = router_.CanonicalPath(request.path);
-  if (canonical == "/v1/recommend" || canonical == "/v1/recommend:batch") {
+  if (request.path == "/v1/recommend" ||
+      request.path == "/v1/recommend:batch") {
     request_latency_micros_->Record(trace.TotalMicros());
     for (TraceStage stage : kGatewayStages) {
       if (trace.StageCount(stage) == 0) continue;
@@ -1629,114 +1606,7 @@ std::vector<BackendCounters> ClusterGateway::backend_counters() const {
 }
 
 HttpResponse ClusterGateway::HandleStats() {
-  const GatewayCounters totals = this->counters();
-  const AbCounters ab = ab_counters();
-  JsonWriter writer;
-  writer.BeginObject()
-      .Key("requests_served")
-      .Value(requests_served())
-      .Key("forwarded_ok")
-      .Value(totals.forwarded_ok)
-      .Key("degraded")
-      .Value(totals.degraded)
-      .Key("failed")
-      .Value(totals.failed)
-      .Key("retries")
-      .Value(totals.retries)
-      .Key("hedges")
-      .Value(totals.hedges)
-      .Key("hedge_wins")
-      .Value(totals.hedge_wins)
-      .Key("slow_requests")
-      .Value(slow_logger_.slow_requests_seen())
-      .Key("client_acquires")
-      .Value(pool_->acquires_total())
-      .Key("client_reuses")
-      .Value(pool_->reuses_total())
-      .Key("client_reuse_ratio")
-      .Value(pool_->ReuseRatio())
-      .Key("open_connections")
-      .Value(http_ ? http_->stats().open_connections : 0)
-      .Key("shed_connections")
-      .Value(http_ ? http_->stats().shed : 0)
-      .Key("healthy_backends")
-      .Value(static_cast<uint64_t>(health_->NumHealthy()))
-      .Key("ring_epoch")
-      .Value(ring_epoch())
-      .Key("ab_ann_percent")
-      .Value(static_cast<uint64_t>(config_.ab_ann_percent))
-      .Key("ab_requests_vmis")
-      .Value(ab.requests[0])
-      .Key("ab_requests_ann")
-      .Value(ab.requests[1])
-      .Key("ab_impressions_vmis")
-      .Value(ab.impressions[0])
-      .Key("ab_impressions_ann")
-      .Value(ab.impressions[1])
-      .Key("ab_engagements_vmis")
-      .Value(ab.engagements[0])
-      .Key("ab_engagements_ann")
-      .Value(ab.engagements[1])
-      .Key("ab_fallbacks")
-      .Value(ab.fallbacks)
-      .Key("backends")
-      .BeginArray();
-  // Snapshot membership under the lock, then serialize outside it.
-  struct Row {
-    std::string name;
-    uint16_t port = 0;
-    uint64_t requests = 0;
-    uint64_t errors = 0;
-  };
-  std::vector<Row> rows;
-  {
-    std::lock_guard<std::mutex> lock(membership_mutex_);
-    rows.reserve(backends_.size());
-    for (const auto& backend : backends_) {
-      rows.push_back(Row{backend->endpoint.name, backend->endpoint.port,
-                         backend->requests->value(),
-                         backend->errors->value()});
-    }
-  }
-  const std::vector<BackendHealth> health = health_->Snapshot();
-  for (const Row& row : rows) {
-    BackendHealth entry;
-    entry.healthy = false;
-    for (const BackendHealth& candidate : health) {
-      if (candidate.name == row.name) {
-        entry = candidate;
-        break;
-      }
-    }
-    writer.BeginObject()
-        .Key("name")
-        .Value(row.name)
-        .Key("port")
-        .Value(static_cast<uint64_t>(row.port))
-        .Key("healthy")
-        .Value(entry.healthy)
-        .Key("index_version")
-        .Value(entry.index_version)
-        .Key("requests")
-        .Value(row.requests)
-        .Key("errors")
-        .Value(row.errors)
-        .Key("ejections")
-        .Value(entry.ejections_total)
-        .Key("probe_connects")
-        .Value(entry.probe_connects_total)
-        .Key("probe_reuses")
-        .Value(entry.probe_reuses_total)
-        .Key("replica_lag_bytes")
-        .Value(entry.replica_lag_bytes)
-        .Key("replica_lag_seconds")
-        .Value(entry.replica_lag_seconds)
-        .Key("ring_epoch")
-        .Value(entry.ring_epoch)
-        .EndObject();
-  }
-  writer.EndArray().EndObject();
-  return HttpResponse::Json(writer.str());
+  return HttpResponse::Json(StatsJson(registry_));
 }
 
 }  // namespace serenade

@@ -12,10 +12,9 @@
 // adopt and echo it, and both tiers emit sampled structured slow-request
 // log lines keyed by the same id — a fleet-level p99 outlier can be
 // followed gateway -> pod -> stage. All gateway metrics live in one
-// MetricsRegistry (src/obs), which renders /metrics.
+// MetricsRegistry (src/obs), which renders /v1/metrics and /v1/stats.
 //
-// Routes (versioned /v1 API; unversioned paths remain as deprecated
-// aliases stamping `Deprecation: true`, see API.md):
+// Routes (versioned /v1 API; only /v1 paths exist, see API.md):
 //   GET  /v1/recommend?session_id=<key>&item_id=<id>[...] -> forwarded
 //   POST /v1/recommend        body {"session_id":...}     -> forwarded
 //   POST /v1/recommend:batch  body {"requests":[...]}
@@ -24,7 +23,8 @@
 //           back in request order; a failed sub-batch degrades or errors
 //           only its own slots
 //   GET  /v1/healthz  -> gateway liveness + healthy-backend count
-//   GET  /v1/stats    -> aggregate + per-backend counters (JSON)
+//   GET  /v1/stats    -> JSON view of the metrics registry: aggregate
+//                        counters plus per-backend objects keyed by name
 //   GET  /v1/metrics  -> Prometheus text exposition (MetricsRegistry)
 //
 // Elastic-fleet control plane (versioned, epoch-fenced; see API.md):
@@ -330,7 +330,7 @@ class ClusterGateway {
   Router router_;
   std::unique_ptr<HttpServer> http_;
 
-  // Shared metrics substrate: /metrics is rendered from this registry.
+  // Shared metrics substrate: /v1/metrics and /v1/stats render from it.
   MetricsRegistry registry_;
   MetricCounter* forwarded_ok_ = nullptr;
   MetricCounter* degraded_ = nullptr;

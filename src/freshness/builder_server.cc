@@ -258,93 +258,62 @@ HttpResponse IndexBuilderServer::HandleHealthz(const HttpRequest&) {
 }
 
 HttpResponse IndexBuilderServer::HandleStats(const HttpRequest&) {
-  JsonWriter json;
-  json.BeginObject()
-      .Key("role")
-      .Value("index-builder")
-      .Key("clicks_ingested")
-      .Value(builder_.clicks_ingested())
-      .Key("clicks_dropped_overflow")
-      .Value(builder_.clicks_dropped_overflow())
-      .Key("open_sessions")
-      .Value(static_cast<uint64_t>(builder_.open_sessions()))
-      .Key("sealed_sessions")
-      .Value(static_cast<uint64_t>(builder_.sealed_sessions()))
-      .Key("sessions_sealed_total")
-      .Value(builder_.sessions_sealed())
-      .Key("sessions_dropped_short")
-      .Value(builder_.sessions_dropped_short())
-      .Key("sessions_expired")
-      .Value(builder_.sessions_expired())
-      .Key("delta_version")
-      .Value(published_version())
-      .Key("base_version")
-      .Value(builder_.base_version())
-      .Key("watermark_unix_ms")
-      .Value(published_watermark_unix_ms())
-      .Key("publish_failures")
-      .Value(publish_failures_.load(std::memory_order_relaxed))
-      .EndObject();
-  return HttpResponse::Json(json.str());
+  return HttpResponse::Json(StatsJson(registry_, {{"role", "index-builder"}}));
 }
 
 void IndexBuilderServer::RegisterMetrics() {
   registry_.AddCallback(
       "serenade_builder_clicks_ingested_total",
-      "clicks accepted from pod click taps", MetricType::kCounter, "",
-      [this]() -> std::vector<MetricSample> {
-        return {{"", builder_.clicks_ingested()}};
-      });
+      "clicks accepted from pod click taps", MetricType::kCounter,
+      [this] { return builder_.clicks_ingested(); });
   registry_.AddCallback(
       "serenade_builder_clicks_dropped_total",
-      "clicks dropped at the open-session cap", MetricType::kCounter, "",
-      [this]() -> std::vector<MetricSample> {
-        return {{"", builder_.clicks_dropped_overflow()}};
-      });
+      "clicks dropped at the open-session cap", MetricType::kCounter,
+      [this] { return builder_.clicks_dropped_overflow(); });
   registry_.AddCallback(
       "serenade_builder_sessions_sealed_total",
-      "sessions sealed into the delta log", MetricType::kCounter, "",
-      [this]() -> std::vector<MetricSample> {
-        return {{"", builder_.sessions_sealed()}};
-      });
+      "sessions sealed into the delta log", MetricType::kCounter,
+      [this] { return builder_.sessions_sealed(); });
   registry_.AddCallback(
       "serenade_builder_sessions_dropped_short_total",
-      "sealed sessions dropped below min_session_length",
-      MetricType::kCounter, "", [this]() -> std::vector<MetricSample> {
-        return {{"", builder_.sessions_dropped_short()}};
-      });
+      "sealed sessions dropped below min_session_length", MetricType::kCounter,
+      [this] { return builder_.sessions_dropped_short(); });
   registry_.AddCallback(
       "serenade_builder_sessions_expired_total",
-      "sealed sessions aged out of the cumulative delta",
-      MetricType::kCounter, "", [this]() -> std::vector<MetricSample> {
-        return {{"", builder_.sessions_expired()}};
-      });
+      "sealed sessions aged out of the cumulative delta", MetricType::kCounter,
+      [this] { return builder_.sessions_expired(); });
   registry_.AddCallback(
       "serenade_builder_open_sessions", "sessions currently open",
-      MetricType::kGauge, "", [this]() -> std::vector<MetricSample> {
-        return {{"", static_cast<uint64_t>(builder_.open_sessions())}};
-      });
+      MetricType::kGauge,
+      [this] { return builder_.open_sessions(); });
+  registry_.AddCallback(
+      "serenade_builder_sealed_sessions",
+      "sealed sessions held in the cumulative delta", MetricType::kGauge,
+      [this] { return builder_.sealed_sessions(); });
   registry_.AddCallback(
       "serenade_builder_delta_version",
-      "delta version currently served to the fleet", MetricType::kGauge, "",
-      [this]() -> std::vector<MetricSample> {
-        return {{"", published_version()}};
-      });
+      "delta version currently served to the fleet", MetricType::kGauge,
+      [this] { return published_version(); });
+  registry_.AddCallback(
+      "serenade_builder_base_version",
+      "base index version the deltas are stamped against", MetricType::kGauge,
+      [this] { return builder_.base_version(); });
+  registry_.AddCallback(
+      "serenade_builder_watermark_unix_ms",
+      "newest click (unix ms) covered by the published delta",
+      MetricType::kGauge, [this] { return published_watermark_unix_ms(); });
   registry_.AddCallback(
       "serenade_builder_publish_failures_total",
       "delta publications that failed or crashed mid-write",
-      MetricType::kCounter, "", [this]() -> std::vector<MetricSample> {
-        return {{"", publish_failures_.load(std::memory_order_relaxed)}};
-      });
+      MetricType::kCounter,
+      [this] { return publish_failures_.load(std::memory_order_relaxed); });
   registry_.AddCallback(
       "serenade_index_freshness_seconds",
       "age of the newest click covered by the published delta",
-      MetricType::kGauge, "", [this]() -> std::vector<MetricSample> {
+      MetricType::kGauge, [this] {
         const uint64_t watermark = published_watermark_unix_ms();
         const uint64_t now = NowUnixMs();
-        return {{"", watermark == 0 || now < watermark
-                         ? 0
-                         : (now - watermark) / 1000}};
+        return watermark == 0 || now < watermark ? 0 : (now - watermark) / 1000;
       });
   click_to_publish_ms_ = &registry_.AddHistogram(
       "serenade_click_to_publish_milliseconds",

@@ -12,7 +12,7 @@
 //                          X-Serenade-Base-Version) when a version newer
 //                          than V is published, else 204
 //   GET  /v1/healthz       {"status":"ok","role":"index-builder",...}
-//   GET  /v1/stats         builder counters as JSON
+//   GET  /v1/stats         JSON view of the metrics registry + "role"
 //   GET  /v1/metrics       Prometheus text exposition
 //
 // Compaction (seal idle sessions, cut a new delta version, optionally

@@ -1,6 +1,6 @@
 #include "obs/metrics.h"
 
-#include <cstdio>
+#include <string_view>
 
 namespace serenade {
 
@@ -97,9 +97,6 @@ MetricsRegistry::Member& MetricsRegistry::MemberFor(
     case Kind::kCounter:
       member->counter = std::make_unique<MetricCounter>();
       break;
-    case Kind::kGauge:
-      member->gauge = std::make_unique<MetricGauge>();
-      break;
     case Kind::kHistogram:
       member->histogram = std::make_unique<MetricHistogram>();
       break;
@@ -122,20 +119,6 @@ MetricCounter& MetricsRegistry::AddCounter(const std::string& name,
   std::lock_guard<std::mutex> lock(mutex_);
   Family& family = FamilyFor(name, help, label_key, Kind::kCounter);
   return *MemberFor(family, label_value).counter;
-}
-
-MetricGauge& MetricsRegistry::AddGauge(const std::string& name,
-                                       const std::string& help) {
-  return AddGauge(name, help, "", "");
-}
-
-MetricGauge& MetricsRegistry::AddGauge(const std::string& name,
-                                       const std::string& help,
-                                       const std::string& label_key,
-                                       const std::string& label_value) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  Family& family = FamilyFor(name, help, label_key, Kind::kGauge);
-  return *MemberFor(family, label_value).gauge;
 }
 
 MetricHistogram& MetricsRegistry::AddHistogram(const std::string& name,
@@ -162,6 +145,15 @@ void MetricsRegistry::AddCallback(const std::string& name,
   family.callback = std::move(callback);
 }
 
+void MetricsRegistry::AddCallback(const std::string& name,
+                                  const std::string& help, MetricType type,
+                                  std::function<uint64_t()> value) {
+  AddCallback(name, help, type, "",
+              [value = std::move(value)]() -> std::vector<MetricSample> {
+                return {{"", value()}};
+              });
+}
+
 std::string MetricsRegistry::RenderPrometheus() const {
   std::lock_guard<std::mutex> lock(mutex_);
   std::string body;
@@ -174,14 +166,6 @@ std::string MetricsRegistry::RenderPrometheus() const {
           AppendSample(&body, family->name,
                        RenderLabels(family->label_key, member->label_value),
                        member->counter->value());
-        }
-        break;
-      case Kind::kGauge:
-        AppendHeader(&body, family->name, family->help, "gauge");
-        for (const auto& member : family->members) {
-          AppendSample(&body, family->name,
-                       RenderLabels(family->label_key, member->label_value),
-                       member->gauge->value());
         }
         break;
       case Kind::kHistogram:
@@ -219,6 +203,40 @@ std::string MetricsRegistry::RenderPrometheus() const {
     }
   }
   return body;
+}
+
+std::vector<MetricReading> MetricsRegistry::Readings() const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  std::vector<MetricReading> out;
+  for (const auto& family : families_) {
+    const std::string key = StatsKey(family->name);
+    if (family->kind == Kind::kCounter) {
+      for (const auto& member : family->members) {
+        out.push_back({key, member->label_value, member->counter->value()});
+      }
+    } else if (family->kind == Kind::kCallback && family->callback) {
+      for (MetricSample& sample : family->callback()) {
+        out.push_back({key, std::move(sample.label_value), sample.value});
+      }
+    }
+  }
+  return out;
+}
+
+std::string MetricsRegistry::StatsKey(const std::string& family_name) {
+  std::string_view key = family_name;
+  for (std::string_view prefix : {"serenade_", "gateway_"}) {
+    if (key.substr(0, prefix.size()) == prefix) {
+      key.remove_prefix(prefix.size());
+      break;
+    }
+  }
+  constexpr std::string_view kTotal = "_total";
+  if (key.size() > kTotal.size() &&
+      key.substr(key.size() - kTotal.size()) == kTotal) {
+    key.remove_suffix(kTotal.size());
+  }
+  return std::string(key);
 }
 
 }  // namespace serenade

@@ -1,11 +1,10 @@
 // Process-wide metrics substrate for the serving tiers: one
 // MetricsRegistry per server instance hands out typed handles (counters,
-// gauges, latency histograms, callback-backed metrics) and renders them
-// all through a single Prometheus text-exposition writer — the shared
-// replacement for the bespoke snprintf /metrics emitters the pod server
-// and the cluster gateway used to duplicate.
+// latency histograms, callback-backed counters and gauges) and is the one
+// source of both read-outs: the Prometheus text exposition (/v1/metrics)
+// and the flat counter/gauge readings the JSON /v1/stats view renders.
 //
-// Hot-path cost model: counters and gauges are single relaxed atomics;
+// Hot-path cost model: counters are single relaxed atomics;
 // histograms reuse ShardedHistogram (per-thread shard selection, one
 // cache-line-separated lock per shard) so concurrent request threads do
 // not serialise. Registration and rendering take the registry mutex;
@@ -17,6 +16,8 @@
 //   <tier>_<noun>_microseconds histograms, rendered as summaries with
 //                              quantile labels + _count + _sum
 // Labeled families carry exactly one label key (backend=..., stage=...).
+// The /v1/stats key of a family is its name minus the tier prefix and a
+// trailing "_total" (gateway_client_reuses_total -> client_reuses).
 #pragma once
 
 #include <atomic>
@@ -37,16 +38,6 @@ class MetricCounter {
   void Increment(uint64_t delta = 1) {
     value_.fetch_add(delta, std::memory_order_relaxed);
   }
-  uint64_t value() const { return value_.load(std::memory_order_relaxed); }
-
- private:
-  std::atomic<uint64_t> value_{0};
-};
-
-/// Point-in-time gauge. Lock-free; safe for concurrent Set.
-class MetricGauge {
- public:
-  void Set(uint64_t value) { value_.store(value, std::memory_order_relaxed); }
   uint64_t value() const { return value_.load(std::memory_order_relaxed); }
 
  private:
@@ -74,6 +65,14 @@ struct MetricSample {
   uint64_t value = 0;
 };
 
+/// One counter or gauge sample of MetricsRegistry::Readings(): `key` is
+/// the family's stats key, `label_value` its label ("" = unlabeled).
+struct MetricReading {
+  std::string key;
+  std::string label_value;
+  uint64_t value = 0;
+};
+
 /// Pull-style metric: invoked at scrape time. Used for values owned by
 /// other components (session-store stats, index-manager versions, health
 /// snapshots) so the registry never caches stale copies of them.
@@ -95,11 +94,6 @@ class MetricsRegistry {
                             const std::string& label_key,
                             const std::string& label_value);
 
-  MetricGauge& AddGauge(const std::string& name, const std::string& help);
-  MetricGauge& AddGauge(const std::string& name, const std::string& help,
-                        const std::string& label_key,
-                        const std::string& label_value);
-
   MetricHistogram& AddHistogram(const std::string& name,
                                 const std::string& help);
   MetricHistogram& AddHistogram(const std::string& name,
@@ -107,26 +101,37 @@ class MetricsRegistry {
                                 const std::string& label_key,
                                 const std::string& label_value);
 
-  /// Callback-backed counter or gauge; `label_key` is "" for a single
-  /// unlabeled sample.
+  /// Callback-backed counter or gauge family; `label_key` is "" for a
+  /// single unlabeled sample.
   void AddCallback(const std::string& name, const std::string& help,
                    MetricType type, const std::string& label_key,
                    MetricCallback callback);
+  /// Unlabeled callback-backed counter or gauge: `value` is read at
+  /// scrape time.
+  void AddCallback(const std::string& name, const std::string& help,
+                   MetricType type, std::function<uint64_t()> value);
 
   /// Renders every registered metric in registration order as Prometheus
   /// text exposition format 0.0.4.
   std::string RenderPrometheus() const;
 
+  /// Every counter and gauge sample (histograms excluded) in
+  /// registration order, keyed by StatsKey(family name).
+  std::vector<MetricReading> Readings() const;
+
+  /// The /v1/stats key of a family: the name without its "serenade_" or
+  /// "gateway_" prefix and without a trailing "_total".
+  static std::string StatsKey(const std::string& family_name);
+
   /// The scrape Content-Type for RenderPrometheus output.
   static const char* ContentType() { return "text/plain; version=0.0.4"; }
 
  private:
-  enum class Kind { kCounter, kGauge, kHistogram, kCallback };
+  enum class Kind { kCounter, kHistogram, kCallback };
 
   struct Member {
     std::string label_value;  // "" = unlabeled
     std::unique_ptr<MetricCounter> counter;
-    std::unique_ptr<MetricGauge> gauge;
     std::unique_ptr<MetricHistogram> histogram;
   };
 

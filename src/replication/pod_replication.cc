@@ -120,91 +120,80 @@ void PodReplication::RegisterHooks() {
     writer.Key("replica_lag_seconds").Value(shipper_->lag_seconds());
     writer.Key("ring_epoch").Value(ring_epoch());
   });
-  server_->add_stats_extra([this](JsonWriter& writer) {
-    const WalShipperStats ship = shipper_->stats();
-    writer.Key("replication").BeginObject();
-    writer.Key("replica_lag_bytes").Value(shipper_->lag_bytes());
-    writer.Key("replica_lag_seconds").Value(shipper_->lag_seconds());
-    writer.Key("ring_epoch").Value(ring_epoch());
-    writer.Key("peer_port").Value(static_cast<uint64_t>(shipper_->peer_port()));
-    writer.Key("batches_shipped").Value(ship.batches_shipped);
-    writer.Key("bytes_shipped").Value(ship.bytes_shipped);
-    writer.Key("ship_errors").Value(ship.ship_errors);
-    writer.Key("offset_rewinds").Value(ship.offset_rewinds);
-    writer.Key("batches_applied").Value(hub_.batches_applied_total());
-    writer.Key("batches_rejected").Value(hub_.batches_rejected_total());
-    writer.Key("replica_donors")
-        .Value(static_cast<uint64_t>(hub_.Donors().size()));
-    writer.Key("sessions_moved").Value(sessions_moved_.load());
-    writer.Key("handoff_redirects").Value(redirects_.load());
-    writer.Key("handoff_proxied_writes").Value(proxied_writes_.load());
-    writer.Key("handoff_blocked_writes").Value(blocked_writes_.load());
-    writer.Key("promotions").Value(promotions_.load());
-    writer.Key("sessions_promoted").Value(sessions_promoted_.load());
-    writer.EndObject();
-  });
 }
 
 void PodReplication::RegisterMetrics() {
   MetricsRegistry& registry = server_->metrics();
-  auto single = [](uint64_t value) {
-    return std::vector<MetricSample>{{"", value}};
-  };
   registry.AddCallback(
       "serenade_replica_lag_bytes",
       "WAL bytes not yet acknowledged by the ring successor",
-      MetricType::kGauge, "",
-      [this, single] { return single(shipper_->lag_bytes()); });
+      MetricType::kGauge, [this] { return shipper_->lag_bytes(); });
   registry.AddCallback(
       "serenade_replica_lag_milliseconds",
       "Milliseconds since the replica was last fully caught up",
-      MetricType::kGauge, "", [this, single] {
-        return single(static_cast<uint64_t>(shipper_->lag_seconds() * 1000.0));
+      MetricType::kGauge, [this] {
+        return static_cast<uint64_t>(shipper_->lag_seconds() * 1000.0);
       });
   registry.AddCallback("serenade_ring_epoch",
                        "Fleet membership epoch this pod last adopted",
-                       MetricType::kGauge, "",
-                       [this, single] { return single(ring_epoch()); });
+                       MetricType::kGauge, [this] { return ring_epoch(); });
+  registry.AddCallback(
+      "serenade_repl_peer_port",
+      "Port of the ring successor this pod ships its WAL to (0 = none)",
+      MetricType::kGauge, [this] { return shipper_->peer_port(); });
   registry.AddCallback(
       "serenade_repl_batches_shipped_total",
       "Replication batches acknowledged by the ring successor",
-      MetricType::kCounter, "",
-      [this, single] { return single(shipper_->stats().batches_shipped); });
+      MetricType::kCounter,
+      [this] { return shipper_->stats().batches_shipped; });
+  registry.AddCallback(
+      "serenade_repl_bytes_shipped_total",
+      "WAL bytes acknowledged by the ring successor", MetricType::kCounter,
+      [this] { return shipper_->stats().bytes_shipped; });
   registry.AddCallback(
       "serenade_repl_ship_errors_total",
       "Replication ship attempts that failed in transport",
-      MetricType::kCounter, "",
-      [this, single] { return single(shipper_->stats().ship_errors); });
+      MetricType::kCounter, [this] { return shipper_->stats().ship_errors; });
+  registry.AddCallback(
+      "serenade_repl_offset_rewinds_total",
+      "Offset resynchronisations after a 409 from the ring successor",
+      MetricType::kCounter,
+      [this] { return shipper_->stats().offset_rewinds; });
   registry.AddCallback(
       "serenade_repl_batches_applied_total",
       "Replication batches this pod applied for its donors",
-      MetricType::kCounter, "",
-      [this, single] { return single(hub_.batches_applied_total()); });
+      MetricType::kCounter, [this] { return hub_.batches_applied_total(); });
   registry.AddCallback(
       "serenade_repl_batches_rejected_total",
       "Replication batches this pod rejected (offset mismatch or torn)",
-      MetricType::kCounter, "",
-      [this, single] { return single(hub_.batches_rejected_total()); });
+      MetricType::kCounter, [this] { return hub_.batches_rejected_total(); });
+  registry.AddCallback(
+      "serenade_replica_donors", "Donor pods this pod holds a replica of",
+      MetricType::kGauge, [this] { return hub_.Donors().size(); });
   registry.AddCallback(
       "serenade_handoff_sessions_moved_total",
       "Sessions cut over to a new owner during live hand-offs",
-      MetricType::kCounter, "",
-      [this, single] { return single(sessions_moved_.load()); });
+      MetricType::kCounter, [this] { return sessions_moved_.load(); });
   registry.AddCallback(
       "serenade_handoff_redirects_total",
       "Single recommends 307-redirected to a session's new owner",
-      MetricType::kCounter, "",
-      [this, single] { return single(redirects_.load()); });
+      MetricType::kCounter, [this] { return redirects_.load(); });
   registry.AddCallback(
       "serenade_handoff_proxied_writes_total",
       "Batch slots proxied to a session's new owner mid-hand-off",
-      MetricType::kCounter, "",
-      [this, single] { return single(proxied_writes_.load()); });
+      MetricType::kCounter, [this] { return proxied_writes_.load(); });
+  registry.AddCallback(
+      "serenade_handoff_blocked_writes_total",
+      "Writes refused with 503 while their key range was cutting over",
+      MetricType::kCounter, [this] { return blocked_writes_.load(); });
+  registry.AddCallback(
+      "serenade_promotions_total",
+      "Replica promotions run on this pod after an owner failed",
+      MetricType::kCounter, [this] { return promotions_.load(); });
   registry.AddCallback(
       "serenade_sessions_promoted_total",
       "Replica sessions merged into the live store on owner failover",
-      MetricType::kCounter, "",
-      [this, single] { return single(sessions_promoted_.load()); });
+      MetricType::kCounter, [this] { return sessions_promoted_.load(); });
 }
 
 HttpResponse PodReplication::HandleBatch(const HttpRequest& request,

@@ -8,15 +8,11 @@ BatchExecutor::BatchExecutor(SerenadeService* service,
   if (registry == nullptr) return;
   registry->AddCallback(
       "serenade_batches_total", "client-side :batch calls executed",
-      MetricType::kCounter, "", [this]() -> std::vector<MetricSample> {
-        return {{"", batches_executed()}};
-      });
+      MetricType::kCounter, [this] { return batches_executed(); });
   registry->AddCallback(
       "serenade_batch_requests_total",
       "requests carried by client-side :batch calls", MetricType::kCounter,
-      "", [this]() -> std::vector<MetricSample> {
-        return {{"", requests_executed()}};
-      });
+      [this] { return requests_executed(); });
   batch_size_hist_ = &registry->AddHistogram(
       "serenade_batch_size", "requests per client-side :batch call");
 }

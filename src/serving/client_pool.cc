@@ -40,11 +40,4 @@ size_t HttpClientPool::IdleCount(uint16_t port) const {
   return it == idle_.end() ? 0 : it->second.size();
 }
 
-double HttpClientPool::ReuseRatio() const {
-  const uint64_t acquires = acquires_.load(std::memory_order_relaxed);
-  if (acquires == 0) return 0.0;
-  return static_cast<double>(reuses_.load(std::memory_order_relaxed)) /
-         static_cast<double>(acquires);
-}
-
 }  // namespace serenade

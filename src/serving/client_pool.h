@@ -63,10 +63,6 @@ class HttpClientPool {
     return discards_.load(std::memory_order_relaxed);
   }
 
-  /// Fraction of acquires served by a parked connection, in [0, 1]
-  /// (0 before the first acquire).
-  double ReuseRatio() const;
-
  private:
   const HttpClientPoolConfig config_;
   mutable std::mutex mutex_;

@@ -342,26 +342,11 @@ void Router::Handle(std::string method, std::string path, Handler handler) {
   routes_[std::move(path)][std::move(method)] = std::move(handler);
 }
 
-void Router::Alias(std::string legacy_path, std::string canonical_path) {
-  aliases_[std::move(legacy_path)] = std::move(canonical_path);
-}
-
-const std::string& Router::CanonicalPath(const std::string& path) const {
-  auto it = aliases_.find(path);
-  return it == aliases_.end() ? path : it->second;
-}
-
 HttpResponse Router::Dispatch(const HttpRequest& request,
                               Trace* trace) const {
-  bool deprecated = false;
-  const std::string* path = &request.path;
-  if (auto alias = aliases_.find(request.path); alias != aliases_.end()) {
-    path = &alias->second;
-    deprecated = true;
-  }
   const std::string trace_id = trace == nullptr ? "" : trace->id();
 
-  auto route = routes_.find(*path);
+  auto route = routes_.find(request.path);
   if (route == routes_.end()) {
     return ApiError(404, "unknown path: " + request.path, trace_id);
   }
@@ -378,13 +363,7 @@ HttpResponse Router::Dispatch(const HttpRequest& request,
     response.headers["Allow"] = allow;
     return response;
   }
-
-  HttpResponse response = method->second(request, trace);
-  if (deprecated) {
-    deprecated_requests_.fetch_add(1, std::memory_order_relaxed);
-    response.headers["Deprecation"] = "true";
-  }
-  return response;
+  return method->second(request, trace);
 }
 
 // --- server ------------------------------------------------------------------

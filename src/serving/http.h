@@ -6,7 +6,6 @@
 // keep-alive request pipelining for the load generator.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -29,7 +28,7 @@ inline constexpr size_t kMaxBodyBytes = 4 * 1024 * 1024;
 /// A parsed HTTP request.
 struct HttpRequest {
   std::string method;                           // "GET", "POST", ...
-  std::string path;                             // "/recommend"
+  std::string path;                             // "/v1/recommend"
   std::map<std::string, std::string> query;     // decoded query params
   std::map<std::string, std::string> headers;   // lower-cased names
   std::string body;
@@ -90,16 +89,13 @@ int HttpStatusForStatus(const Status& status);
 
 /// Method+path dispatch table shared by the pod server and the cluster
 /// gateway (the /v1 API surface). Routes are registered once at startup
-/// (Handle/Alias are not thread-safe) and dispatched concurrently from
+/// (Handle is not thread-safe) and dispatched concurrently from
 /// connection threads. Dispatch returns:
 ///   * the handler's response for a registered method+path,
 ///   * 405 with an `Allow` header when the path exists but the method
 ///     does not,
 ///   * 404 for unknown paths,
-/// both errors as the unified JSON envelope. Legacy paths registered via
-/// Alias() run the canonical path's handler unchanged, then stamp a
-/// `Deprecation: true` header and bump the deprecated-request counter —
-/// alias responses stay byte-identical to the canonical route's.
+/// both errors as the unified JSON envelope.
 class Router {
  public:
   using Handler = std::function<HttpResponse(const HttpRequest&, Trace*)>;
@@ -107,29 +103,12 @@ class Router {
   /// Registers `handler` for `method` (upper-case) on `path`.
   void Handle(std::string method, std::string path, Handler handler);
 
-  /// Registers `legacy_path` as a deprecated alias of `canonical_path`
-  /// for every method registered on the canonical path (call after the
-  /// canonical registrations).
-  void Alias(std::string legacy_path, std::string canonical_path);
-
   /// Dispatches one request; `trace` is forwarded to the handler (may be
   /// null).
   HttpResponse Dispatch(const HttpRequest& request, Trace* trace) const;
 
-  /// Resolves an alias to its canonical path (identity for canonical or
-  /// unknown paths) — used by callers that key per-route metrics.
-  const std::string& CanonicalPath(const std::string& path) const;
-
-  /// Requests served through a deprecated alias (the
-  /// serenade_http_deprecated_requests_total metric source).
-  uint64_t deprecated_requests() const {
-    return deprecated_requests_.load(std::memory_order_relaxed);
-  }
-
  private:
   std::map<std::string, std::map<std::string, Handler>> routes_;
-  std::map<std::string, std::string> aliases_;
-  mutable std::atomic<uint64_t> deprecated_requests_{0};
 };
 
 /// Tuning for the reactor server. The defaults suit the in-repo tests

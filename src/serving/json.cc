@@ -5,6 +5,8 @@
 #include <cmath>
 #include <cstdio>
 
+#include "obs/metrics.h"
+
 namespace serenade {
 
 // --- JsonValue ---------------------------------------------------------------
@@ -442,6 +444,33 @@ void WriteValue(const JsonValue& value, JsonWriter& writer) {
 std::string SerializeJson(const JsonValue& value) {
   JsonWriter writer;
   WriteValue(value, writer);
+  return writer.str();
+}
+
+std::string StatsJson(
+    const MetricsRegistry& registry,
+    const std::vector<std::pair<std::string, std::string>>& identity) {
+  const std::vector<MetricReading> readings = registry.Readings();
+  JsonWriter writer;
+  writer.BeginObject();
+  for (size_t i = 0; i < readings.size(); ++i) {
+    const MetricReading& reading = readings[i];
+    if (reading.label_value.empty()) {
+      writer.Key(reading.key).Value(reading.value);
+      continue;
+    }
+    // A labeled family's samples are adjacent: open its object on the
+    // first, close it after the last.
+    if (i == 0 || readings[i - 1].key != reading.key) {
+      writer.Key(reading.key).BeginObject();
+    }
+    writer.Key(reading.label_value).Value(reading.value);
+    if (i + 1 == readings.size() || readings[i + 1].key != reading.key) {
+      writer.EndObject();
+    }
+  }
+  for (const auto& [key, value] : identity) writer.Key(key).Value(value);
+  writer.EndObject();
   return writer.str();
 }
 

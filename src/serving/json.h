@@ -9,11 +9,14 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/status.h"
 
 namespace serenade {
+
+class MetricsRegistry;
 
 /// A parsed JSON value (immutable after parse).
 class JsonValue {
@@ -86,5 +89,14 @@ class JsonWriter {
   std::string out_;
   bool need_comma_ = false;
 };
+
+/// The /v1/stats body of a serving component, rendered from its metrics
+/// registry: one field per counter or gauge family under its
+/// MetricsRegistry::StatsKey — an unlabeled family as a number, a labeled
+/// one as an object keyed by label value ({"pod-0":1,"pod-1":1}) — then
+/// the `identity` string fields no uint64 family can hold.
+std::string StatsJson(
+    const MetricsRegistry& registry,
+    const std::vector<std::pair<std::string, std::string>>& identity = {});
 
 }  // namespace serenade

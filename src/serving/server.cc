@@ -96,120 +96,93 @@ SerenadeServer::SerenadeServer(std::unique_ptr<SerenadeService> service,
 SerenadeServer::~SerenadeServer() { Stop(); }
 
 void SerenadeServer::RegisterMetrics() {
-  registry_.AddCallback(
-      "serenade_requests_total", "HTTP requests served", MetricType::kCounter,
-      "", [this]() -> std::vector<MetricSample> {
-        return {{"", requests_served()}};
-      });
-  registry_.AddCallback(
-      "serenade_http_deprecated_requests_total",
-      "requests served via deprecated unversioned path aliases",
-      MetricType::kCounter, "", [this]() -> std::vector<MetricSample> {
-        return {{"", router_.deprecated_requests()}};
-      });
-  registry_.AddCallback(
-      "serenade_store_reads_total", "session store reads",
-      MetricType::kCounter, "", [this]() -> std::vector<MetricSample> {
-        return {{"", service_->StoreStats().reads}};
-      });
-  registry_.AddCallback(
-      "serenade_store_writes_total", "session store writes",
-      MetricType::kCounter, "", [this]() -> std::vector<MetricSample> {
-        return {{"", service_->StoreStats().writes}};
-      });
-  registry_.AddCallback(
-      "serenade_store_expirations_total", "sessions expired by TTL",
-      MetricType::kCounter, "", [this]() -> std::vector<MetricSample> {
-        return {{"", service_->StoreStats().expirations}};
-      });
+  registry_.AddCallback("serenade_requests_total", "HTTP requests served",
+                        MetricType::kCounter,
+                        [this] { return requests_served(); });
+  registry_.AddCallback("serenade_store_reads_total", "session store reads",
+                        MetricType::kCounter,
+                        [this] { return service_->StoreStats().reads; });
+  registry_.AddCallback("serenade_store_writes_total", "session store writes",
+                        MetricType::kCounter,
+                        [this] { return service_->StoreStats().writes; });
+  registry_.AddCallback("serenade_store_expirations_total",
+                        "sessions expired by TTL", MetricType::kCounter,
+                        [this] { return service_->StoreStats().expirations; });
   registry_.AddCallback(
       "serenade_live_sessions", "evolving sessions currently stored",
-      MetricType::kGauge, "", [this]() -> std::vector<MetricSample> {
-        return {{"", service_->StoreStats().live_entries}};
-      });
+      MetricType::kGauge,
+      [this] { return service_->StoreStats().live_entries; });
   registry_.AddCallback(
       "serenade_index_sessions", "historical sessions in the index",
-      MetricType::kGauge, "", [this]() -> std::vector<MetricSample> {
-        return {{"", service_->CurrentSnapshot()->index().num_sessions()}};
-      });
+      MetricType::kGauge,
+      [this] { return service_->CurrentSnapshot()->index().num_sessions(); });
+  registry_.AddCallback(
+      "serenade_index_items", "distinct items in the index", MetricType::kGauge,
+      [this] { return service_->CurrentSnapshot()->index().num_items(); });
   registry_.AddCallback(
       "serenade_index_version", "published index snapshot version",
-      MetricType::kGauge, "", [this]() -> std::vector<MetricSample> {
-        return {{"", service_->CurrentSnapshot()->version()}};
-      });
+      MetricType::kGauge,
+      [this] { return service_->CurrentSnapshot()->version(); });
+  registry_.AddCallback(
+      "serenade_index_base_version",
+      "version of the base snapshot freshness deltas layer over",
+      MetricType::kGauge,
+      [this] { return service_->index_manager().base_version(); });
   registry_.AddCallback(
       "serenade_index_reloads_total", "successful index hot swaps",
-      MetricType::kCounter, "", [this]() -> std::vector<MetricSample> {
-        return {{"", service_->index_manager().reloads_total()}};
-      });
+      MetricType::kCounter,
+      [this] { return service_->index_manager().reloads_total(); });
   registry_.AddCallback(
-      "serenade_index_reload_failures_total",
-      "rejected index reload attempts", MetricType::kCounter, "",
-      [this]() -> std::vector<MetricSample> {
-        return {{"", service_->index_manager().reload_failures_total()}};
-      });
+      "serenade_index_reload_failures_total", "rejected index reload attempts",
+      MetricType::kCounter,
+      [this] { return service_->index_manager().reload_failures_total(); });
   registry_.AddCallback(
       "serenade_index_deltas_applied_total",
-      "freshness deltas layered over the base snapshot",
-      MetricType::kCounter, "", [this]() -> std::vector<MetricSample> {
-        return {{"", service_->index_manager().deltas_applied_total()}};
-      });
+      "freshness deltas layered over the base snapshot", MetricType::kCounter,
+      [this] { return service_->index_manager().deltas_applied_total(); });
   registry_.AddCallback(
       "serenade_index_delta_rejects_total",
       "freshness deltas rejected (lineage or CRC mismatch)",
-      MetricType::kCounter, "", [this]() -> std::vector<MetricSample> {
-        return {{"", service_->index_manager().delta_rejects_total()}};
-      });
+      MetricType::kCounter,
+      [this] { return service_->index_manager().delta_rejects_total(); });
   registry_.AddCallback(
       "serenade_index_applied_delta_version",
       "version of the last applied freshness delta (0 = base only)",
-      MetricType::kGauge, "", [this]() -> std::vector<MetricSample> {
-        return {{"", service_->index_manager().applied_delta_version()}};
-      });
+      MetricType::kGauge,
+      [this] { return service_->index_manager().applied_delta_version(); });
   registry_.AddCallback(
       "serenade_index_freshness_seconds",
       "age of the newest click servable from the index (0 until the "
       "first delta lands)",
-      MetricType::kGauge, "", [this]() -> std::vector<MetricSample> {
-        return {{"", FreshnessSeconds(
-                         service_->index_manager()
-                             .freshness_watermark_unix_ms())}};
+      MetricType::kGauge, [this] {
+        return FreshnessSeconds(
+            service_->index_manager().freshness_watermark_unix_ms());
       });
-  registry_.AddCallback(
-      "serenade_recommender_pool_size", "idle pooled recommenders",
-      MetricType::kGauge, "", [this]() -> std::vector<MetricSample> {
-        return {{"", service_->PooledRecommenders()}};
-      });
+  registry_.AddCallback("serenade_recommender_pool_size",
+                        "idle pooled recommenders", MetricType::kGauge,
+                        [this] { return service_->PooledRecommenders(); });
   registry_.AddCallback(
       "serenade_slow_requests_total",
-      "requests over the slow-request threshold", MetricType::kCounter, "",
-      [this]() -> std::vector<MetricSample> {
-        return {{"", slow_logger_.slow_requests_seen()}};
-      });
+      "requests over the slow-request threshold", MetricType::kCounter,
+      [this] { return slow_logger_.slow_requests_seen(); });
 
   // Reactor counters: http_ is rebuilt per Start(), so the callbacks read
   // through the pointer and answer 0 before the first Start().
   registry_.AddCallback(
       "serenade_open_connections", "currently open HTTP connections",
-      MetricType::kGauge, "", [this]() -> std::vector<MetricSample> {
-        return {{"", http_ ? http_->stats().open_connections : 0}};
-      });
-  registry_.AddCallback(
-      "serenade_accepted_connections_total", "HTTP connections admitted",
-      MetricType::kCounter, "", [this]() -> std::vector<MetricSample> {
-        return {{"", http_ ? http_->stats().accepted : 0}};
-      });
+      MetricType::kGauge,
+      [this] { return http_ ? http_->stats().open_connections : 0; });
+  registry_.AddCallback("serenade_accepted_connections_total",
+                        "HTTP connections admitted", MetricType::kCounter,
+                        [this] { return http_ ? http_->stats().accepted : 0; });
   registry_.AddCallback(
       "serenade_shed_connections_total",
       "connections refused with 503 + Retry-After at the connection cap",
-      MetricType::kCounter, "", [this]() -> std::vector<MetricSample> {
-        return {{"", http_ ? http_->stats().shed : 0}};
-      });
+      MetricType::kCounter, [this] { return http_ ? http_->stats().shed : 0; });
   registry_.AddCallback(
       "serenade_reactor_loop_iterations_total", "event-loop wakeups",
-      MetricType::kCounter, "", [this]() -> std::vector<MetricSample> {
-        return {{"", http_ ? http_->stats().loop_iterations : 0}};
-      });
+      MetricType::kCounter,
+      [this] { return http_ ? http_->stats().loop_iterations : 0; });
   registry_.AddCallback(
       "serenade_connection_timeouts_total",
       "connections closed by the timer wheel", MetricType::kCounter, "kind",
@@ -225,7 +198,7 @@ void SerenadeServer::RegisterMetrics() {
 
   recommend_latency_micros_ = &registry_.AddHistogram(
       "serenade_recommend_latency_microseconds",
-      "/recommend handling latency");
+      "/v1/recommend handling latency");
 
   // Second retrieval family: per-arm traffic/latency plus the embedding
   // snapshot lifecycle (all read 0 / stay empty on pods without an ANN
@@ -239,36 +212,30 @@ void SerenadeServer::RegisterMetrics() {
                 {"ann", engine_requests_[1].load(std::memory_order_relaxed)}};
       });
   registry_.AddCallback(
-      "serenade_ann_requests_total",
-      "requests that asked for the ANN engine", MetricType::kCounter, "",
-      [this]() -> std::vector<MetricSample> {
-        return {{"", service_->ann_requests_total()}};
-      });
+      "serenade_ann_requests_total", "requests that asked for the ANN engine",
+      MetricType::kCounter, [this] { return service_->ann_requests_total(); });
   registry_.AddCallback(
       "serenade_ann_fallbacks_total",
       "ANN requests degraded to VMIS (no embedding snapshot attached)",
-      MetricType::kCounter, "", [this]() -> std::vector<MetricSample> {
-        return {{"", service_->ann_fallbacks_total()}};
-      });
+      MetricType::kCounter, [this] { return service_->ann_fallbacks_total(); });
   registry_.AddCallback(
       "serenade_embedding_version",
       "published embedding snapshot version (0 = no ANN arm)",
-      MetricType::kGauge, "", [this]() -> std::vector<MetricSample> {
+      MetricType::kGauge, [this] {
         const auto& manager = service_->embedding_manager();
-        return {{"", manager ? manager->current_version() : 0}};
+        return manager ? manager->current_version() : 0;
       });
   registry_.AddCallback(
       "serenade_embedding_reloads_total", "successful embedding hot swaps",
-      MetricType::kCounter, "", [this]() -> std::vector<MetricSample> {
+      MetricType::kCounter, [this] {
         const auto& manager = service_->embedding_manager();
-        return {{"", manager ? manager->reloads_total() : 0}};
+        return manager ? manager->reloads_total() : 0;
       });
   registry_.AddCallback(
       "serenade_embedding_reload_failures_total",
-      "rejected embedding reload attempts", MetricType::kCounter, "",
-      [this]() -> std::vector<MetricSample> {
+      "rejected embedding reload attempts", MetricType::kCounter, [this] {
         const auto& manager = service_->embedding_manager();
-        return {{"", manager ? manager->reload_failures_total() : 0}};
+        return manager ? manager->reload_failures_total() : 0;
       });
   engine_latency_micros_[0] = &registry_.AddHistogram(
       "serenade_engine_latency_microseconds",
@@ -326,16 +293,6 @@ void SerenadeServer::BuildRoutes() {
                  [this](const HttpRequest& request, Trace* trace) {
                    return HandleAdminEmbeddingsReload(request, trace);
                  });
-
-  // Pre-/v1 paths and the pre-namespace admin spellings: same handlers
-  // (byte-identical bodies), marked deprecated on the way out.
-  router_.Alias("/recommend", "/v1/recommend");
-  router_.Alias("/healthz", "/v1/healthz");
-  router_.Alias("/stats", "/v1/stats");
-  router_.Alias("/metrics", "/v1/metrics");
-  router_.Alias("/v1/admin/reload", "/v1/admin/index/reload");
-  router_.Alias("/admin/reload", "/v1/admin/index/reload");
-  router_.Alias("/v1/admin/delta", "/v1/admin/index/delta");
 }
 
 Status SerenadeServer::Start() {
@@ -386,8 +343,8 @@ HttpResponse SerenadeServer::Handle(const HttpRequest& request) {
 
   // Request-level latency metrics cover the recommend routes only, so
   // metrics scrapes and health probes don't dilute the histograms.
-  const std::string& canonical = router_.CanonicalPath(request.path);
-  if (canonical == "/v1/recommend" || canonical == "/v1/recommend:batch") {
+  if (request.path == "/v1/recommend" ||
+      request.path == "/v1/recommend:batch") {
     recommend_latency_micros_->Record(trace.TotalMicros());
     RecordStageMetrics(trace);
     slow_logger_.MaybeLog(trace, "pod", request.path, response.status);
@@ -680,83 +637,13 @@ HttpResponse SerenadeServer::HandleAdminEmbeddingsReload(
   return HttpResponse::Json(writer.str());
 }
 
+// The registry view plus the identity strings no uint64 family can hold.
 HttpResponse SerenadeServer::HandleStats() {
-  const SessionStoreStats stats = service_->StoreStats();
   const auto snapshot = service_->CurrentSnapshot();
-  IndexManager& manager = service_->index_manager();
-  JsonWriter writer;
-  writer.BeginObject()
-      .Key("requests_served")
-      .Value(requests_served())
-      .Key("store_reads")
-      .Value(stats.reads)
-      .Key("store_writes")
-      .Value(stats.writes)
-      .Key("store_expirations")
-      .Value(stats.expirations)
-      .Key("live_sessions")
-      .Value(stats.live_entries)
-      .Key("index_version")
-      .Value(snapshot->version())
-      .Key("index_source")
-      .Value(snapshot->manifest().source)
-      .Key("index_build_id")
-      .Value(snapshot->manifest().build_id)
-      .Key("index_reloads")
-      .Value(manager.reloads_total())
-      .Key("index_reload_failures")
-      .Value(manager.reload_failures_total())
-      .Key("index_base_version")
-      .Value(manager.base_version())
-      .Key("applied_delta_version")
-      .Value(manager.applied_delta_version())
-      .Key("index_deltas_applied")
-      .Value(manager.deltas_applied_total())
-      .Key("index_delta_rejects")
-      .Value(manager.delta_rejects_total())
-      .Key("index_freshness_seconds")
-      .Value(FreshnessSeconds(manager.freshness_watermark_unix_ms()))
-      .Key("open_connections")
-      .Value(http_ ? http_->stats().open_connections : 0)
-      .Key("shed_connections")
-      .Value(http_ ? http_->stats().shed : 0)
-      .Key("index_sessions")
-      .Value(static_cast<uint64_t>(snapshot->index().num_sessions()))
-      .Key("index_items")
-      .Value(static_cast<uint64_t>(snapshot->index().num_items()))
-      .Key("recommender_pool_size")
-      .Value(static_cast<uint64_t>(service_->PooledRecommenders()))
-      .Key("batches_executed")
-      .Value(executor_->batches_executed())
-      .Key("batched_requests")
-      .Value(executor_->requests_executed())
-      .Key("slow_requests")
-      .Value(slow_logger_.slow_requests_seen())
-      .Key("ann_ready")
-      .Value(service_->ann_available())
-      .Key("embedding_version")
-      .Value(service_->embedding_manager()
-                 ? service_->embedding_manager()->current_version()
-                 : 0)
-      .Key("embedding_reloads")
-      .Value(service_->embedding_manager()
-                 ? service_->embedding_manager()->reloads_total()
-                 : 0)
-      .Key("embedding_reload_failures")
-      .Value(service_->embedding_manager()
-                 ? service_->embedding_manager()->reload_failures_total()
-                 : 0)
-      .Key("ann_requests")
-      .Value(service_->ann_requests_total())
-      .Key("ann_fallbacks")
-      .Value(service_->ann_fallbacks_total())
-      .Key("engine_requests_vmis")
-      .Value(engine_requests_[0].load(std::memory_order_relaxed))
-      .Key("engine_requests_ann")
-      .Value(engine_requests_[1].load(std::memory_order_relaxed));
-  for (const auto& extra : stats_extras_) extra(writer);
-  writer.EndObject();
-  return HttpResponse::Json(writer.str());
+  const IndexManifest& manifest = snapshot->manifest();
+  return HttpResponse::Json(
+      StatsJson(registry_, {{"index_source", manifest.source},
+                            {"index_build_id", manifest.build_id}}));
 }
 
 }  // namespace serenade

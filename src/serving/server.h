@@ -14,7 +14,9 @@
 //        -> {"results":[{"items":..,"scores":..} | {"error":{...}}, ...]}
 //        order-preserving; one bad item never fails its siblings
 //   GET  /v1/healthz  -> {"status":"ok","index_version":N}
-//   GET  /v1/stats    -> request / session-store / index-snapshot counters
+//   GET  /v1/stats    -> JSON view of the metrics registry (every counter
+//                        and gauge of /v1/metrics, see API.md) plus the
+//                        index_source / index_build_id identity strings
 //   GET  /v1/metrics  -> Prometheus text exposition rendered by the shared
 //                        MetricsRegistry (src/obs), including client-batch
 //                        counters and sizes
@@ -28,11 +30,8 @@
 // Admin endpoints live under the uniform /v1/admin/<subsystem>/<verb>
 // namespace; the replication subsystem (src/replication) registers its
 // /v1/admin/replication/* and /v1/admin/sessions/* routes on the same
-// router. Legacy paths (/recommend, /healthz, /stats, /metrics,
-// /admin/reload, /v1/admin/reload, /v1/admin/delta) remain as aliases
-// that serve byte-identical responses but stamp `Deprecation: true` and
-// count into serenade_http_deprecated_requests_total. Unknown paths get a 404 and
-// wrong methods a 405 (with Allow), both as the unified error envelope
+// router. Only /v1 paths exist: unknown paths get a 404 and wrong
+// methods a 405 (with Allow), both as the unified error envelope
 // {"error":{"code":...,"message":...,"trace_id":...}} (see API.md).
 //
 // Observability: every request carries a Trace (adopting an inbound
@@ -136,15 +135,12 @@ class SerenadeServer {
   /// Start().
   void set_write_hooks(WriteHooks hooks) { write_hooks_ = std::move(hooks); }
 
-  /// Appends extra fields to the /v1/healthz (resp. /v1/stats) JSON
-  /// object — how replication surfaces replica lag and the ring epoch
-  /// without the server depending on it. Call before Start(); callbacks
-  /// must be thread-safe.
+  /// Appends extra fields to the /v1/healthz JSON object — how
+  /// replication surfaces replica lag and the ring epoch without the
+  /// server depending on it (its /v1/stats fields are metric families).
+  /// Call before Start(); callbacks must be thread-safe.
   void add_healthz_extra(std::function<void(JsonWriter&)> fn) {
     healthz_extras_.push_back(std::move(fn));
-  }
-  void add_stats_extra(std::function<void(JsonWriter&)> fn) {
-    stats_extras_.push_back(std::move(fn));
   }
 
   /// Click observer for the freshness pipeline: invoked once per
@@ -157,7 +153,7 @@ class SerenadeServer {
   }
 
   /// Applies a streaming freshness delta over the pod's pinned base
-  /// snapshot (also exposed as POST /v1/admin/delta) and records the
+  /// snapshot (also exposed as POST /v1/admin/index/delta) and records the
   /// click->servable latency of the sessions it adds. kAlreadyExists
   /// passes through (idempotent re-delivery).
   Status ApplyDelta(const IndexDelta& delta);
@@ -192,7 +188,7 @@ class SerenadeServer {
   std::atomic<bool> stopping_{false};
   std::thread janitor_;
 
-  // Shared metrics substrate: /metrics is rendered from this registry.
+  // Shared metrics substrate: /v1/metrics and /v1/stats render from it.
   MetricsRegistry registry_;
   MetricHistogram* recommend_latency_micros_ = nullptr;
   /// Per-retrieval-family request latency ([0]=vmis, [1]=ann, indexed by
@@ -208,7 +204,6 @@ class SerenadeServer {
   SlowRequestLogger slow_logger_;
   WriteHooks write_hooks_;
   std::vector<std::function<void(JsonWriter&)>> healthz_extras_;
-  std::vector<std::function<void(JsonWriter&)>> stats_extras_;
 };
 
 }  // namespace serenade

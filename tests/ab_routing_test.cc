@@ -133,8 +133,10 @@ TEST(AbRoutingTest, StickyBucketsSplitTrafficAndCountersSum) {
   ASSERT_EQ(stats.status, 200);
   auto doc = ParseJson(stats.body);
   ASSERT_TRUE(doc.ok());
-  EXPECT_EQ(static_cast<uint64_t>(doc->Find("ab_requests_vmis")->AsInt()) +
-                static_cast<uint64_t>(doc->Find("ab_requests_ann")->AsInt()),
+  const JsonValue* arms = doc->Find("ab_requests");
+  ASSERT_NE(arms, nullptr) << stats.body;
+  EXPECT_EQ(static_cast<uint64_t>(arms->Find("vmis")->AsInt()) +
+                static_cast<uint64_t>(arms->Find("ann")->AsInt()),
             requests_sent);
 }
 

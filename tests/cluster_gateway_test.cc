@@ -99,10 +99,10 @@ TEST(HashRingTest, RemovalRemapsOnlyTheRemovedNodesKeys) {
 HttpHandler PodHandler(const std::string& pod_name,
                        std::atomic<uint64_t>* recommends) {
   return [pod_name, recommends](const HttpRequest& request) -> HttpResponse {
-    if (request.path == "/healthz" || request.path == "/v1/healthz") {
+    if (request.path == "/v1/healthz") {
       return HttpResponse::Json("{\"status\":\"ok\"}");
     }
-    if (request.path == "/recommend") {
+    if (request.path == "/v1/recommend") {
       recommends->fetch_add(1);
       return HttpResponse::Json("{\"items\":[1,2],\"scores\":[2.0,1.0],"
                                 "\"pod\":\"" + pod_name + "\"}");
@@ -207,7 +207,7 @@ TEST_F(GatewayTest, SessionStickinessAcrossRequests) {
   const std::string owner = gateway.OwnerOf("sticky-session");
   for (int i = 0; i < 20; ++i) {
     auto response = client.Get(
-        "/recommend?session_id=sticky-session&item_id=" + std::to_string(i));
+        "/v1/recommend?session_id=sticky-session&item_id=" + std::to_string(i));
     ASSERT_TRUE(response.ok()) << response.status().ToString();
     ASSERT_EQ(response->status, 200);
     auto doc = ParseJson(response->body);
@@ -231,7 +231,7 @@ TEST_F(GatewayTest, DifferentSessionsSpreadOverTheFleet) {
   HttpClient client;
   ASSERT_TRUE(client.Connect(gateway.port()).ok());
   for (int i = 0; i < 60; ++i) {
-    auto response = client.Get("/recommend?session_id=spread-" +
+    auto response = client.Get("/v1/recommend?session_id=spread-" +
                                std::to_string(i) + "&item_id=1");
     ASSERT_TRUE(response.ok());
     ASSERT_EQ(response->status, 200);
@@ -250,7 +250,7 @@ TEST_F(GatewayTest, MissingSessionIdRejected) {
   ASSERT_TRUE(gateway.Start().ok());
   HttpClient client;
   ASSERT_TRUE(client.Connect(gateway.port()).ok());
-  EXPECT_EQ(client.Get("/recommend?item_id=1")->status, 400);
+  EXPECT_EQ(client.Get("/v1/recommend?item_id=1")->status, 400);
   EXPECT_EQ(client.Get("/nope")->status, 404);
   gateway.Stop();
 }
@@ -281,7 +281,7 @@ TEST_F(GatewayTest, KillingBackendMidLoadYieldsNoClientVisible5xx) {
         const std::string session =
             "load-" + std::to_string(c) + "-" + std::to_string(i++ % 40);
         auto response =
-            client.Get("/recommend?session_id=" + session + "&item_id=7");
+            client.Get("/v1/recommend?session_id=" + session + "&item_id=7");
         requests.fetch_add(1);
         if (!response.ok()) {
           transport_errors.fetch_add(1);
@@ -316,7 +316,7 @@ TEST_F(GatewayTest, AllBackendsDownServesDegradedPopularity) {
 
   HttpClient client;
   ASSERT_TRUE(client.Connect(gateway.port()).ok());
-  auto response = client.Get("/recommend?session_id=down&item_id=3");
+  auto response = client.Get("/v1/recommend?session_id=down&item_id=3");
   ASSERT_TRUE(response.ok()) << response.status().ToString();
   EXPECT_EQ(response->status, 200);
   auto doc = ParseJson(response->body);
@@ -340,7 +340,7 @@ TEST_F(GatewayTest, NoFallbackAndDeadFleetYields503) {
 
   HttpClient client;
   ASSERT_TRUE(client.Connect(gateway.port()).ok());
-  auto response = client.Get("/recommend?session_id=x&item_id=1");
+  auto response = client.Get("/v1/recommend?session_id=x&item_id=1");
   ASSERT_TRUE(response.ok());
   EXPECT_EQ(response->status, 503);
   gateway.Stop();
@@ -356,12 +356,12 @@ TEST_F(GatewayTest, MetricsReportPerBackendCountersAndLatencyQuantiles) {
   HttpClient client;
   ASSERT_TRUE(client.Connect(gateway.port()).ok());
   for (int i = 0; i < 10; ++i) {
-    ASSERT_TRUE(client.Get("/recommend?session_id=metrics-" +
+    ASSERT_TRUE(client.Get("/v1/recommend?session_id=metrics-" +
                            std::to_string(i) + "&item_id=1")
                     .ok());
   }
 
-  auto metrics = client.Get("/metrics");
+  auto metrics = client.Get("/v1/metrics");
   ASSERT_TRUE(metrics.ok());
   EXPECT_EQ(metrics->status, 200);
   EXPECT_NE(metrics->content_type.find("text/plain"), std::string::npos);
@@ -383,20 +383,21 @@ TEST_F(GatewayTest, MetricsReportPerBackendCountersAndLatencyQuantiles) {
   EXPECT_NE(body.find("gateway_forward_latency_microseconds_count"),
             std::string::npos);
 
-  auto stats = client.Get("/stats");
+  auto stats = client.Get("/v1/stats");
   ASSERT_TRUE(stats.ok());
   auto doc = ParseJson(stats->body);
   ASSERT_TRUE(doc.ok()) << stats->body;
   EXPECT_GE(doc->Find("forwarded_ok")->AsInt(), 10);
-  EXPECT_EQ(doc->Find("backends")->AsArray().size(), kPods);
+  const JsonValue* per_backend = doc->Find("backend_requests");
+  ASSERT_NE(per_backend, nullptr) << stats->body;
+  EXPECT_EQ(per_backend->AsObject().size(), kPods);
   uint64_t backend_requests = 0;
-  for (const JsonValue& backend : doc->Find("backends")->AsArray()) {
-    backend_requests +=
-        static_cast<uint64_t>(backend.Find("requests")->AsNumber());
+  for (const auto& [name, requests] : per_backend->AsObject()) {
+    backend_requests += static_cast<uint64_t>(requests.AsNumber());
   }
   EXPECT_GE(backend_requests, 10u);
 
-  auto health = client.Get("/healthz");
+  auto health = client.Get("/v1/healthz");
   ASSERT_TRUE(health.ok());
   auto health_doc = ParseJson(health->body);
   ASSERT_TRUE(health_doc.ok());
@@ -408,7 +409,7 @@ TEST_F(GatewayTest, HedgedRequestBeatsSlowPrimary) {
   // pod-slow stalls /recommend for 300ms; the other pods answer fast.
   std::atomic<uint64_t> slow_hits{0};
   auto slow_handler = [&](const HttpRequest& request) -> HttpResponse {
-    if (request.path == "/healthz" || request.path == "/v1/healthz") {
+    if (request.path == "/v1/healthz") {
       return HttpResponse::Json("{\"status\":\"ok\"}");
     }
     slow_hits.fetch_add(1);
@@ -442,7 +443,7 @@ TEST_F(GatewayTest, HedgedRequestBeatsSlowPrimary) {
   HttpClient client;
   ASSERT_TRUE(client.Connect(gateway.port()).ok());
   auto response =
-      client.Get("/recommend?session_id=" + slow_session + "&item_id=1");
+      client.Get("/v1/recommend?session_id=" + slow_session + "&item_id=1");
   ASSERT_TRUE(response.ok()) << response.status().ToString();
   EXPECT_EQ(response->status, 200);
   auto doc = ParseJson(response->body);
@@ -492,7 +493,7 @@ TEST(GatewayEndToEndTest, RealPodsKeepSessionStateThroughGateway) {
   HttpClient client;
   ASSERT_TRUE(client.Connect(gateway.port()).ok());
   for (ItemId item : {3u, 4u, 5u}) {
-    auto response = client.Get("/recommend?session_id=web-1&item_id=" +
+    auto response = client.Get("/v1/recommend?session_id=web-1&item_id=" +
                                std::to_string(item));
     ASSERT_TRUE(response.ok());
     ASSERT_EQ(response->status, 200) << response->body;
@@ -515,14 +516,16 @@ TEST(GatewayEndToEndTest, RealPodsKeepSessionStateThroughGateway) {
   EXPECT_EQ(pods_with_session, 1u);
 
   // The startup probe round already captured each pod's index version, so
-  // the gateway's /stats reports it per backend.
-  auto stats = client.Get("/stats");
+  // the gateway's /v1/stats reports it per backend.
+  auto stats = client.Get("/v1/stats");
   ASSERT_TRUE(stats.ok());
   auto stats_doc = ParseJson(stats->body);
   ASSERT_TRUE(stats_doc.ok()) << stats->body;
-  for (const JsonValue& backend : stats_doc->Find("backends")->AsArray()) {
-    EXPECT_EQ(backend.Find("index_version")->AsInt(), 1)
-        << backend.Find("name")->AsString();
+  const JsonValue* versions = stats_doc->Find("backend_index_version");
+  ASSERT_NE(versions, nullptr) << stats->body;
+  EXPECT_EQ(versions->AsObject().size(), backends.size());
+  for (const auto& [name, version] : versions->AsObject()) {
+    EXPECT_EQ(version.AsInt(), 1) << name;
   }
 
   // Hot-swap one pod to a new snapshot: after the next probe round the
@@ -535,14 +538,16 @@ TEST(GatewayEndToEndTest, RealPodsKeepSessionStateThroughGateway) {
                            IndexManifest{})
                   .ok());
   gateway.health().ProbeAllOnce();
-  stats = client.Get("/stats");
+  stats = client.Get("/v1/stats");
   ASSERT_TRUE(stats.ok());
   stats_doc = ParseJson(stats->body);
   ASSERT_TRUE(stats_doc.ok()) << stats->body;
   size_t on_v2 = 0;
-  for (const JsonValue& backend : stats_doc->Find("backends")->AsArray()) {
-    const int64_t version = backend.Find("index_version")->AsInt();
-    if (backend.Find("name")->AsString() == "pod-0") {
+  versions = stats_doc->Find("backend_index_version");
+  ASSERT_NE(versions, nullptr) << stats->body;
+  for (const auto& [name, entry] : versions->AsObject()) {
+    const int64_t version = entry.AsInt();
+    if (name == "pod-0") {
       EXPECT_EQ(version, 2);
       ++on_v2;
     } else {
@@ -550,7 +555,7 @@ TEST(GatewayEndToEndTest, RealPodsKeepSessionStateThroughGateway) {
     }
   }
   EXPECT_EQ(on_v2, 1u);
-  auto metrics = client.Get("/metrics");
+  auto metrics = client.Get("/v1/metrics");
   ASSERT_TRUE(metrics.ok());
   EXPECT_NE(metrics->body.find(
                 "gateway_backend_index_version{backend=\"pod-0\"} 2"),
@@ -605,7 +610,7 @@ TEST(GatewayTracePropagationTest, GatewayAndPodShareOneTraceId) {
 
   HttpClient client;
   ASSERT_TRUE(client.Connect(gateway.port()).ok());
-  auto response = client.Get("/recommend?session_id=traced&item_id=3");
+  auto response = client.Get("/v1/recommend?session_id=traced&item_id=3");
   ASSERT_TRUE(response.ok()) << response.status().ToString();
   ASSERT_EQ(response->status, 200) << response->body;
 
@@ -630,13 +635,13 @@ TEST(GatewayTracePropagationTest, GatewayAndPodShareOneTraceId) {
   EXPECT_TRUE(gateway_logged) << "no gateway slow-request line";
 
   // A caller-supplied id (e.g. an edge proxy) is adopted, not replaced.
-  auto traced = client.Get("/recommend?session_id=traced&item_id=4",
+  auto traced = client.Get("/v1/recommend?session_id=traced&item_id=4",
                            {{"X-Serenade-Trace-Id", "feedc0de12345678"}});
   ASSERT_TRUE(traced.ok());
   EXPECT_EQ(traced->Header("X-Serenade-Trace-Id"), "feedc0de12345678");
 
   // A malformed inbound id is replaced with a freshly minted one.
-  auto malformed = client.Get("/recommend?session_id=traced&item_id=5",
+  auto malformed = client.Get("/v1/recommend?session_id=traced&item_id=5",
                               {{"X-Serenade-Trace-Id", "not hex!"}});
   ASSERT_TRUE(malformed.ok());
   EXPECT_TRUE(IsValidTraceId(malformed->Header("X-Serenade-Trace-Id")));
@@ -644,7 +649,7 @@ TEST(GatewayTracePropagationTest, GatewayAndPodShareOneTraceId) {
 
   // Stage timings crossed the tiers: the gateway attributes forwarding
   // time, the pod attributes knn time; both surface on /metrics.
-  auto gateway_metrics = client.Get("/metrics");
+  auto gateway_metrics = client.Get("/v1/metrics");
   ASSERT_TRUE(gateway_metrics.ok());
   EXPECT_NE(gateway_metrics->body.find(
                 "gateway_stage_duration_microseconds{stage=\"forward\""),
@@ -655,7 +660,7 @@ TEST(GatewayTracePropagationTest, GatewayAndPodShareOneTraceId) {
 
   HttpClient pod_client;
   ASSERT_TRUE(pod_client.Connect(pod.port()).ok());
-  auto pod_metrics = pod_client.Get("/metrics");
+  auto pod_metrics = pod_client.Get("/v1/metrics");
   ASSERT_TRUE(pod_metrics.ok());
   EXPECT_NE(pod_metrics->body.find(
                 "serenade_stage_duration_microseconds{stage=\"knn_retrieve\""),
@@ -778,28 +783,6 @@ TEST_F(GatewayV1Test, PostRecommendForwardsBySessionKey) {
   EXPECT_EQ(missing->status, 400);
   EXPECT_NE(missing->body.find("\"code\":\"bad_request\""),
             std::string::npos);
-}
-
-TEST_F(GatewayV1Test, LegacyAliasStampsDeprecationAndCounts) {
-  StartFleet(1);
-  auto legacy = client_.Get("/recommend?session_id=old&item_id=3");
-  ASSERT_TRUE(legacy.ok());
-  EXPECT_EQ(legacy->status, 200);
-  EXPECT_EQ(legacy->Header("Deprecation"), "true");
-
-  auto v1 = client_.Get("/v1/recommend?session_id=new&item_id=3");
-  ASSERT_TRUE(v1.ok());
-  EXPECT_EQ(v1->status, 200);
-  EXPECT_EQ(v1->Header("Deprecation"), "");
-  // Same session history -> byte-identical success body across the alias.
-  EXPECT_EQ(legacy->body, v1->body);
-
-  auto metrics = client_.Get("/v1/metrics");
-  ASSERT_TRUE(metrics.ok());
-  EXPECT_NE(
-      metrics->body.find("serenade_http_deprecated_requests_total 1"),
-      std::string::npos)
-      << metrics->body;
 
   // Wrong method on a known path: 405 with Allow.
   auto wrong = client_.Post("/v1/healthz", "{}");

@@ -323,8 +323,6 @@ TEST(HttpServerTest, MalformedRequestRejected) {
 
 // --- router + error envelope -------------------------------------------------
 
-// Router is non-movable (it owns an atomic counter), so tests populate a
-// local instance in place.
 void SetupTestRouter(Router& router) {
   router.Handle("GET", "/v1/thing", [](const HttpRequest&, Trace*) {
     return HttpResponse::Json("{\"ok\":true}");
@@ -332,7 +330,6 @@ void SetupTestRouter(Router& router) {
   router.Handle("POST", "/v1/thing", [](const HttpRequest& request, Trace*) {
     return HttpResponse::Json("{\"echo\":\"" + request.body + "\"}");
   });
-  router.Alias("/thing", "/v1/thing");
 }
 
 HttpRequest MakeRequest(const std::string& method, const std::string& path) {
@@ -349,7 +346,6 @@ TEST(RouterDispatchTest, DispatchesByMethodAndPath) {
   auto get = router.Dispatch(MakeRequest("GET", "/v1/thing"), &trace);
   EXPECT_EQ(get.status, 200);
   EXPECT_EQ(get.body, "{\"ok\":true}");
-  EXPECT_EQ(get.headers.count("Deprecation"), 0u);
 
   HttpRequest post = MakeRequest("POST", "/v1/thing");
   post.body = "hi";
@@ -379,20 +375,6 @@ TEST(RouterDispatchTest, WrongMethodIs405WithAllow) {
             std::string::npos);
   // The Allow header lists every registered method for the path.
   EXPECT_EQ(response.headers.at("Allow"), "GET, POST");
-}
-
-TEST(RouterDispatchTest, AliasServesSameBodyPlusDeprecationHeader) {
-  Router router;
-  SetupTestRouter(router);
-  Trace trace;
-  auto canonical = router.Dispatch(MakeRequest("GET", "/v1/thing"), &trace);
-  auto legacy = router.Dispatch(MakeRequest("GET", "/thing"), &trace);
-  EXPECT_EQ(legacy.body, canonical.body);
-  EXPECT_EQ(legacy.status, canonical.status);
-  EXPECT_EQ(legacy.headers.at("Deprecation"), "true");
-  EXPECT_EQ(router.deprecated_requests(), 1u);
-  EXPECT_EQ(router.CanonicalPath("/thing"), "/v1/thing");
-  EXPECT_EQ(router.CanonicalPath("/v1/thing"), "/v1/thing");
 }
 
 TEST(ApiErrorTest, EnvelopeShape) {

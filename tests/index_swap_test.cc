@@ -90,7 +90,7 @@ TEST(IndexSwapTest, ConcurrentRequestsSurviveRepeatedPublishes) {
 }
 
 // HTTP-level hot swap: a running SerenadeServer switches to a newly built
-// index file via POST /admin/reload with zero failed /recommend requests
+// index file via POST /v1/admin/index/reload with zero failed requests
 // under concurrent load, and the version change is visible on every
 // observability surface.
 TEST(IndexSwapTest, AdminReloadUnderLoadIsZeroDowntime) {
@@ -129,7 +129,7 @@ TEST(IndexSwapTest, AdminReloadUnderLoadIsZeroDowntime) {
   ASSERT_TRUE(admin.Connect(server.port()).ok());
 
   // Baseline: version 1 everywhere.
-  auto health = admin.Get("/healthz");
+  auto health = admin.Get("/v1/healthz");
   ASSERT_TRUE(health.ok());
   EXPECT_EQ(ParseJson(health->body)->Find("index_version")->AsInt(), 1);
 
@@ -147,7 +147,7 @@ TEST(IndexSwapTest, AdminReloadUnderLoadIsZeroDowntime) {
       uint64_t i = 0;
       while (!stop.load(std::memory_order_relaxed)) {
         auto response =
-            client.Get("/recommend?session_id=load-" + std::to_string(t) +
+            client.Get("/v1/recommend?session_id=load-" + std::to_string(t) +
                        "&item_id=" + std::to_string((t * 17 + i++) % 200));
         if (!response.ok() || response->status != 200) {
           failures.fetch_add(1, std::memory_order_relaxed);
@@ -163,7 +163,7 @@ TEST(IndexSwapTest, AdminReloadUnderLoadIsZeroDowntime) {
   for (int swap = 0; swap < 6; ++swap) {
     std::this_thread::sleep_for(std::chrono::milliseconds(30));
     const std::string& target = (swap % 2 == 0) ? path_b : path_a;
-    auto response = admin.Post("/admin/reload?path=" + target, "");
+    auto response = admin.Post("/v1/admin/index/reload?path=" + target, "");
     ASSERT_TRUE(response.ok()) << response.status().ToString();
     ASSERT_EQ(response->status, 200) << response->body;
     last_body = response->body;
@@ -181,11 +181,11 @@ TEST(IndexSwapTest, AdminReloadUnderLoadIsZeroDowntime) {
   EXPECT_EQ(reload_doc->Find("index_version")->AsInt(), 1);
   EXPECT_EQ(reload_doc->Find("index_source")->AsString(), path_a);
 
-  health = admin.Get("/healthz");
+  health = admin.Get("/v1/healthz");
   ASSERT_TRUE(health.ok());
   EXPECT_EQ(ParseJson(health->body)->Find("index_version")->AsInt(), 1);
 
-  auto stats = admin.Get("/stats");
+  auto stats = admin.Get("/v1/stats");
   ASSERT_TRUE(stats.ok());
   auto stats_doc = ParseJson(stats->body);
   ASSERT_TRUE(stats_doc.ok());
@@ -194,7 +194,7 @@ TEST(IndexSwapTest, AdminReloadUnderLoadIsZeroDowntime) {
   EXPECT_EQ(stats_doc->Find("index_reloads")->AsInt(), 6);
   EXPECT_EQ(stats_doc->Find("index_reload_failures")->AsInt(), 0);
 
-  auto metrics = admin.Get("/metrics");
+  auto metrics = admin.Get("/v1/metrics");
   ASSERT_TRUE(metrics.ok());
   EXPECT_NE(metrics->body.find("serenade_index_version 1"),
             std::string::npos);
@@ -203,10 +203,11 @@ TEST(IndexSwapTest, AdminReloadUnderLoadIsZeroDowntime) {
 
   // A failed rollout (bad path) is rejected, counted, and the published
   // snapshot stays put.
-  auto bad = admin.Post("/admin/reload?path=" + TempPath("missing.index"), "");
+  auto bad = admin.Post(
+      "/v1/admin/index/reload?path=" + TempPath("missing.index"), "");
   ASSERT_TRUE(bad.ok());
   EXPECT_EQ(bad->status, 404);
-  stats = admin.Get("/stats");
+  stats = admin.Get("/v1/stats");
   stats_doc = ParseJson(stats->body);
   ASSERT_TRUE(stats_doc.ok());
   EXPECT_EQ(stats_doc->Find("index_version")->AsInt(), 1);
@@ -309,7 +310,7 @@ TEST(IndexSwapTest, BatchedTrafficSurvivesHotSwaps) {
   for (int swap = 0; swap < 6; ++swap) {
     std::this_thread::sleep_for(std::chrono::milliseconds(30));
     const std::string& target = (swap % 2 == 0) ? path_b : path_a;
-    auto response = admin.Post("/v1/admin/reload?path=" + target, "");
+    auto response = admin.Post("/v1/admin/index/reload?path=" + target, "");
     ASSERT_TRUE(response.ok()) << response.status().ToString();
     ASSERT_EQ(response->status, 200) << response->body;
   }

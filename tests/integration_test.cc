@@ -75,7 +75,7 @@ TEST(IntegrationTest, OfflinePipelineToServingToEvaluation) {
     if (served_sessions++ >= 150) break;
     const std::string key = "it-" + std::to_string(session.id);
     for (size_t i = 0; i + 1 < session.items.size(); ++i) {
-      auto response = client.Get("/recommend?session_id=" + key +
+      auto response = client.Get("/v1/recommend?session_id=" + key +
                                  "&item_id=" +
                                  std::to_string(session.items[i]));
       ASSERT_TRUE(response.ok());
@@ -129,7 +129,7 @@ TEST(IntegrationTest, JanitorEvictsIdleSessions) {
 
   HttpClient client;
   ASSERT_TRUE(client.Connect(server.port()).ok());
-  ASSERT_TRUE(client.Get("/recommend?session_id=idle&item_id=3").ok());
+  ASSERT_TRUE(client.Get("/v1/recommend?session_id=idle&item_id=3").ok());
   EXPECT_EQ(server.service().StoreStats().live_entries, 1u);
 
   now += 120;  // session is now idle past the TTL

@@ -37,8 +37,11 @@ TEST(MetricsRegistryTest, CounterExposition) {
 
 TEST(MetricsRegistryTest, GaugeExposition) {
   MetricsRegistry registry;
-  MetricGauge& depth = registry.AddGauge("test_queue_depth", "queue depth");
-  depth.Set(7);
+  uint64_t depth = 7;
+  registry.AddCallback("test_queue_depth", "queue depth", MetricType::kGauge,
+                       "", [&depth]() -> std::vector<MetricSample> {
+                         return {{"", depth}};
+                       });
   const std::string text = registry.RenderPrometheus();
   EXPECT_TRUE(Contains(text, "# TYPE test_queue_depth gauge\n"));
   EXPECT_TRUE(Contains(text, "test_queue_depth 7\n"));
@@ -312,7 +315,7 @@ TEST(SlowRequestLoggerTest, DisabledThresholdNeverLogs) {
   SlowRequestLogger logger(TraceConfig{});  // threshold 0 = disabled
   Trace trace;
   trace.Record(TraceStage::kParse, 1000000);
-  EXPECT_FALSE(logger.MaybeLog(trace, "pod", "/recommend", 200));
+  EXPECT_FALSE(logger.MaybeLog(trace, "pod", "/v1/recommend", 200));
   EXPECT_EQ(logger.slow_requests_seen(), 0u);
   EXPECT_TRUE(log.lines().empty());
 }
@@ -325,7 +328,7 @@ TEST(SlowRequestLoggerTest, LogsRequestsOverThreshold) {
 
   Trace trace("feed5eed");
   std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  EXPECT_TRUE(logger.MaybeLog(trace, "gateway", "/recommend", 200));
+  EXPECT_TRUE(logger.MaybeLog(trace, "gateway", "/v1/recommend", 200));
   EXPECT_EQ(logger.slow_requests_seen(), 1u);
   EXPECT_EQ(logger.slow_requests_logged(), 1u);
 
@@ -333,7 +336,7 @@ TEST(SlowRequestLoggerTest, LogsRequestsOverThreshold) {
   ASSERT_EQ(lines.size(), 1u);
   EXPECT_TRUE(Contains(lines[0], "slow_request"));
   EXPECT_TRUE(Contains(lines[0], "tier=gateway"));
-  EXPECT_TRUE(Contains(lines[0], "path=/recommend"));
+  EXPECT_TRUE(Contains(lines[0], "path=/v1/recommend"));
   EXPECT_TRUE(Contains(lines[0], "status=200"));
   EXPECT_TRUE(Contains(lines[0], "trace_id=feed5eed"));
 }
@@ -349,7 +352,7 @@ TEST(SlowRequestLoggerTest, SamplingLogsEveryNth) {
   for (int i = 0; i < 9; ++i) {
     Trace trace;
     std::this_thread::sleep_for(std::chrono::microseconds(100));
-    if (logger.MaybeLog(trace, "pod", "/recommend", 200)) ++logged;
+    if (logger.MaybeLog(trace, "pod", "/v1/recommend", 200)) ++logged;
   }
   EXPECT_EQ(logger.slow_requests_seen(), 9u);
   EXPECT_EQ(logger.slow_requests_logged(), 3u);
@@ -362,7 +365,7 @@ TEST(SlowRequestLoggerTest, FastRequestsAreNotSlow) {
   config.slow_request_micros = 60UL * 1000 * 1000;  // one minute
   SlowRequestLogger logger(config);
   Trace trace;
-  EXPECT_FALSE(logger.MaybeLog(trace, "pod", "/recommend", 200));
+  EXPECT_FALSE(logger.MaybeLog(trace, "pod", "/v1/recommend", 200));
   EXPECT_EQ(logger.slow_requests_seen(), 0u);
 }
 

@@ -298,14 +298,14 @@ TEST_F(ServiceTest, EndToEndOverHttp) {
   ASSERT_TRUE(client.Connect(server.port()).ok());
 
   // Health check.
-  auto health = client.Get("/healthz");
+  auto health = client.Get("/v1/healthz");
   ASSERT_TRUE(health.ok());
   EXPECT_EQ(health->status, 200);
 
   // Three clicks in one session; responses must be valid JSON with <= 21
   // items and matching scores arrays.
   for (ItemId item : {3u, 4u, 5u}) {
-    auto response = client.Get("/recommend?session_id=web-1&item_id=" +
+    auto response = client.Get("/v1/recommend?session_id=web-1&item_id=" +
                                std::to_string(item));
     ASSERT_TRUE(response.ok());
     ASSERT_EQ(response->status, 200) << response->body;
@@ -323,16 +323,16 @@ TEST_F(ServiceTest, EndToEndOverHttp) {
   EXPECT_EQ(server.service().GetSession("web-1")->size(), 3u);
 
   // Bad requests.
-  EXPECT_EQ(client.Get("/recommend")->status, 400);
-  EXPECT_EQ(client.Get("/recommend?session_id=x&item_id=abc")->status, 400);
+  EXPECT_EQ(client.Get("/v1/recommend")->status, 400);
+  EXPECT_EQ(client.Get("/v1/recommend?session_id=x&item_id=abc")->status, 400);
   EXPECT_EQ(client.Get("/nope")->status, 404);
 
   // Stats endpoint reports traffic.
-  auto stats = client.Get("/stats");
+  auto stats = client.Get("/v1/stats");
   ASSERT_TRUE(stats.ok());
   auto stats_doc = ParseJson(stats->body);
   ASSERT_TRUE(stats_doc.ok());
-  EXPECT_GE(stats_doc->Find("requests_served")->AsInt(), 7);
+  EXPECT_GE(stats_doc->Find("requests")->AsInt(), 7);
 
   server.Stop();
 }
@@ -349,9 +349,9 @@ TEST_F(ServiceTest, MetricsEndpointExposesPrometheusFormat) {
   HttpClient client;
   ASSERT_TRUE(client.Connect(server.port()).ok());
   for (int i = 0; i < 5; ++i) {
-    ASSERT_TRUE(client.Get("/recommend?session_id=m&item_id=3").ok());
+    ASSERT_TRUE(client.Get("/v1/recommend?session_id=m&item_id=3").ok());
   }
-  auto metrics = client.Get("/metrics");
+  auto metrics = client.Get("/v1/metrics");
   ASSERT_TRUE(metrics.ok());
   EXPECT_EQ(metrics->status, 200);
   EXPECT_NE(metrics->content_type.find("text/plain"), std::string::npos);
@@ -401,13 +401,13 @@ TEST_F(ServiceTest, RecommendEchoesTraceId) {
   ASSERT_TRUE(client.Connect(server.port()).ok());
 
   // No inbound id: the pod mints one and echoes it.
-  auto minted = client.Get("/recommend?session_id=t&item_id=3");
+  auto minted = client.Get("/v1/recommend?session_id=t&item_id=3");
   ASSERT_TRUE(minted.ok());
   EXPECT_TRUE(IsValidTraceId(minted->Header("X-Serenade-Trace-Id")))
       << "'" << minted->Header("X-Serenade-Trace-Id") << "'";
 
   // Inbound id (as stamped by the gateway): adopted verbatim.
-  auto adopted = client.Get("/recommend?session_id=t&item_id=4",
+  auto adopted = client.Get("/v1/recommend?session_id=t&item_id=4",
                             {{"X-Serenade-Trace-Id", "abad1dea00000001"}});
   ASSERT_TRUE(adopted.ok());
   EXPECT_EQ(adopted->Header("X-Serenade-Trace-Id"), "abad1dea00000001");
@@ -426,7 +426,7 @@ TEST_F(ServiceTest, ConsentFlagOverHttp) {
   HttpClient client;
   ASSERT_TRUE(client.Connect(server.port()).ok());
   auto response =
-      client.Get("/recommend?session_id=p&item_id=7&consent=false");
+      client.Get("/v1/recommend?session_id=p&item_id=7&consent=false");
   ASSERT_TRUE(response.ok());
   EXPECT_EQ(response->status, 200);
   server.Stop();
@@ -454,34 +454,6 @@ class V1ApiTest : public ServiceTest {
   std::unique_ptr<SerenadeServer> server_;
   HttpClient client_;
 };
-
-TEST_F(V1ApiTest, LegacyAliasIsByteIdenticalPlusDeprecationHeader) {
-  StartServer();
-  // Two sessions with identical histories: the /v1 and legacy paths must
-  // produce byte-identical success bodies, differing only in the
-  // Deprecation response header.
-  auto v1 = client_.Get("/v1/recommend?session_id=a&item_id=7");
-  auto legacy = client_.Get("/recommend?session_id=b&item_id=7");
-  ASSERT_TRUE(v1.ok());
-  ASSERT_TRUE(legacy.ok());
-  EXPECT_EQ(v1->status, 200);
-  EXPECT_EQ(legacy->status, 200);
-  EXPECT_EQ(legacy->body, v1->body);
-  EXPECT_EQ(legacy->Header("Deprecation"), "true");
-  EXPECT_EQ(v1->Header("Deprecation"), "");
-
-  // The same holds for healthz / stats shape and the other aliases.
-  EXPECT_EQ(client_.Get("/v1/healthz")->Header("Deprecation"), "");
-  EXPECT_EQ(client_.Get("/healthz")->Header("Deprecation"), "true");
-
-  // Deprecated traffic is counted (2 legacy requests so far).
-  auto metrics = client_.Get("/v1/metrics");
-  ASSERT_TRUE(metrics.ok());
-  EXPECT_NE(
-      metrics->body.find("serenade_http_deprecated_requests_total 2"),
-      std::string::npos)
-      << metrics->body;
-}
 
 TEST_F(V1ApiTest, PostRecommendMatchesGet) {
   StartServer();

@@ -8,8 +8,8 @@
 // session similarity index with the data-parallel builder, and writes the
 // compressed binary index file plus a `<output>.manifest` sidecar
 // stamping the rollout version, build id, corpus counts, and artifact
-// CRC. Serving pods honour the manifest on load and on POST /admin/reload
-// hot swaps. When no --clicks file is given, generates a synthetic
+// CRC. Serving pods honour the manifest on load and on POST
+// /v1/admin/index/reload hot swaps. When no --clicks file is given, generates a synthetic
 // dataset instead (useful for demos).
 //
 // Rollout safety: when the output path already carries a manifest with a

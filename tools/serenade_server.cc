@@ -29,7 +29,7 @@
 // accepted clicks stream to the serenade_index_builder at that port, and
 // a background fetcher polls it for cumulative deltas, layering each
 // over the pinned base snapshot (also reachable directly via POST
-// /v1/admin/delta). 0 = pipeline off.
+// /v1/admin/index/delta). 0 = pipeline off.
 //
 // Loads the binary index produced by serenade_build_index (honouring its
 // `.manifest` sidecar) and serves the versioned /v1 API (see API.md):
@@ -39,9 +39,8 @@
 //   GET  /v1/healthz            (reports the published index version)
 //   GET  /v1/stats
 //   GET  /v1/metrics
-//   POST /v1/admin/reload[?path=other.index]  (zero-downtime index swap)
-// The unversioned paths still answer (byte-identical) but are stamped
-// `Deprecation: true`.
+//   POST /v1/admin/index/reload[?path=other.index]  (zero-downtime swap)
+// Only /v1 paths exist; anything else is a 404 error envelope.
 //
 // Every request runs inline on the HTTP worker thread that handles it;
 // the pod never coalesces requests across connections. Clients amortise
@@ -232,7 +231,7 @@ int main(int argc, char** argv) {
   }
   std::printf(
       "serving on 127.0.0.1:%u (m=%zu, k=%zu, ttl=%llus); hot swap with "
-      "curl -X POST 'http://127.0.0.1:%u/v1/admin/reload'\n",
+      "curl -X POST 'http://127.0.0.1:%u/v1/admin/index/reload'\n",
       server.port(), service_config.knn.m, service_config.knn.k,
       static_cast<unsigned long long>(service_config.store.ttl_seconds),
       server.port());
