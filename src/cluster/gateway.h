@@ -86,7 +86,7 @@ struct GatewayConfig {
   HealthCheckerConfig health;
   /// Slow-request logging policy (threshold 0 = disabled).
   TraceConfig trace;
-  /// Front-door reactor tuning (connection cap, timeouts, threads).
+  /// Front-door reactor tuning (connection cap, timeouts, reactor count).
   HttpServerOptions http;
   /// When set, membership changes orchestrate the replication data plane:
   /// join/drain run session hand-offs on the affected donors, remove

@@ -46,7 +46,7 @@ struct IndexBuilderConfig {
   /// manifest sidecar.
   std::string publish_dir;
   /// Reactor tuning for the builder's HTTP front door (connection cap,
-  /// idle/deadline timeouts, thread counts).
+  /// idle/deadline timeouts, reactor count).
   HttpServerOptions http;
 };
 

@@ -23,11 +23,11 @@ BatchExecutor::Result BatchExecutor::Execute(const RecommendRequest& request,
 }
 
 std::vector<BatchExecutor::Result> BatchExecutor::ExecuteBatch(
-    const std::vector<RecommendRequest>& requests) {
+    const std::vector<RecommendRequest>& requests, Trace* trace) {
   batches_.fetch_add(1, std::memory_order_relaxed);
   requests_.fetch_add(requests.size(), std::memory_order_relaxed);
   if (batch_size_hist_ != nullptr) batch_size_hist_->Record(requests.size());
-  return service_->HandleUpdateAndRecommendBatch(requests);
+  return service_->HandleUpdateAndRecommendBatch(requests, trace);
 }
 
 }  // namespace serenade

@@ -40,9 +40,10 @@ class BatchExecutor {
 
   /// Executes an explicit client-side batch as one service batch:
   /// results[i] corresponds to requests[i]; a failing slot never fails its
-  /// siblings. Duplicate session keys are applied in slot order.
+  /// siblings. Duplicate session keys are applied in slot order. A
+  /// non-null `trace` receives the batch's stage spans.
   std::vector<Result> ExecuteBatch(
-      const std::vector<RecommendRequest>& requests);
+      const std::vector<RecommendRequest>& requests, Trace* trace = nullptr);
 
   /// Client-side batches executed, and the requests they carried.
   uint64_t batches_executed() const {

@@ -5,6 +5,7 @@
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <poll.h>
+#include <sched.h>
 #include <sys/epoll.h>
 #include <sys/eventfd.h>
 #include <sys/socket.h>
@@ -85,12 +86,16 @@ std::string ToLower(std::string s) {
 const char* StatusText(int status) {
   switch (status) {
     case 200: return "OK";
+    case 204: return "No Content";
+    case 307: return "Temporary Redirect";
     case 400: return "Bad Request";
     case 404: return "Not Found";
     case 405: return "Method Not Allowed";
     case 409: return "Conflict";
     case 413: return "Payload Too Large";
+    case 429: return "Too Many Requests";
     case 500: return "Internal Server Error";
+    case 502: return "Bad Gateway";
     case 503: return "Service Unavailable";
     case 504: return "Gateway Timeout";
     default: return "Unknown";
@@ -288,13 +293,6 @@ HttpResponse HttpResponse::Text(std::string body, std::string content_type) {
   return response;
 }
 
-HttpResponse HttpResponse::Error(int status, const std::string& message) {
-  HttpResponse response;
-  response.status = status;
-  response.body = "{\"error\":\"" + message + "\"}";
-  return response;
-}
-
 const char* ApiErrorCode(int status) {
   switch (status) {
     case 400: return "bad_request";
@@ -368,13 +366,27 @@ HttpResponse Router::Dispatch(const HttpRequest& request,
 
 // --- server ------------------------------------------------------------------
 //
-// Epoll reactor (DESIGN.md §10). Each reactor thread owns an epoll
-// instance, an eventfd wakeup, a hashed timer wheel, and the connection
-// table for the fds it accepted; the listener is shared across reactors
-// via EPOLLEXCLUSIVE. Handlers run on a fixed worker pool and post their
-// responses back to the owning reactor as (fd, connection-id) validated
-// completions, so a connection closed (or recycled) mid-dispatch can
-// never receive another request's response.
+// Epoll reactor (DESIGN.md §10), one event loop per usable CPU. Each
+// reactor thread owns an epoll instance, an eventfd wakeup, a hashed timer
+// wheel, and the table of the connections it serves. Whichever reactor
+// the kernel wakes for the shared listener (EPOLLEXCLUSIVE) accepts, and
+// hands each new connection to the reactor with the fewest open
+// connections, through that reactor's inbox and wakeup — so a reactor
+// busy in a handler neither stalls accepts nor skews the spread. A
+// request runs inline on the reactor that owns its connection, which also
+// writes the response. Requests under kAdminPathPrefix run on an offload
+// pool instead and post their responses back through the owner's inbox as
+// (fd, connection-id) validated completions, so a connection closed (or
+// recycled) mid-dispatch can never receive another request's response.
+
+size_t UsableCpuCount() {
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  if (::sched_getaffinity(0, sizeof(set), &set) == 0) {
+    return std::max<size_t>(1, static_cast<size_t>(CPU_COUNT(&set)));
+  }
+  return std::max<size_t>(1, std::thread::hardware_concurrency());
+}
 
 namespace detail {
 
@@ -402,6 +414,10 @@ uint64_t SteadyUs() {
           .count());
 }
 
+bool IsAdminPath(const std::string& path) {
+  return path.rfind(kAdminPathPrefix, 0) == 0;
+}
+
 // Monotonic counters shared by every reactor. Owned by HttpServer via
 // shared_ptr so stats() keeps answering after Stop() tears the core down.
 struct ServerCounters {
@@ -417,10 +433,10 @@ struct ServerCounters {
 enum class ConnState : uint8_t { kReadHeader, kReadBody, kDispatch, kWrite };
 
 // One nonblocking connection. Owned and mutated exclusively by its
-// reactor thread; workers only ever see the (fd, id) pair.
+// reactor thread; the admin pool only ever sees the (fd, id) pair.
 struct Connection {
   int fd = -1;
-  uint64_t id = 0;  // generation token validated on dispatch completion
+  uint64_t id = 0;  // generation token validated on admin completion
   ConnState state = ConnState::kReadHeader;
   std::string in;   // unconsumed inbound bytes
   std::string out;  // serialized response not yet written
@@ -456,19 +472,25 @@ class Reactor {
   Status Init(bool shared_listener);
   void Run();
   void Wake();
+  // Hands a connection another reactor accepted to this one.
+  void Adopt(int fd);
   void PostCompletion(uint64_t id, int fd, HttpResponse response);
 
  private:
+  friend class ReactorCore;  // Place() reads and counts load_
+
   void HandleTicks(uint64_t now_ms);
   void HandleAccept();
   void Admit(int fd);
   void Shed(int fd);
-  // The Handle*/Continue*/Finish* chain returns false when it closed the
-  // connection (the caller must not touch it again).
+  void DropAdopted(int fd);
+  void ApplyInbox();
+  // The Handle*/Serve*/Dispatch/*Write/*Response chain returns false when
+  // it closed the connection (the caller must not touch it again).
   bool HandleReadable(Connection* c);
-  bool TryParse(Connection* c);
-  void Dispatch(Connection* c);
-  void ApplyCompletions();
+  bool ServeBuffered(Connection* c);
+  bool Dispatch(Connection* c);
+  void Offload(Connection* c);
   bool QueueResponse(Connection* c, const HttpResponse& response,
                      bool keep_alive);
   bool ContinueWrite(Connection* c);
@@ -490,18 +512,24 @@ class Reactor {
   uint64_t drain_deadline_ms_ = 0;
   std::unordered_map<int, std::unique_ptr<Connection>> conns_;
   std::list<Connection*> wheel_[kWheelSlots];
+  // Open connections owned by this reactor or on their way to it.
+  std::atomic<size_t> load_{0};
 
-  std::mutex completions_mutex_;
+  // Inbox filled from other threads: connections handed over by the
+  // acceptor and responses of offloaded admin requests.
+  std::mutex inbox_mutex_;
   struct Completion {
     uint64_t id;
     int fd;
     HttpResponse response;
   };
+  std::vector<int> adopted_;
   std::vector<Completion> completions_;
 };
 
-// Owns the listener, the worker pool, and the reactor threads. Built on
-// Start() and destroyed on Stop(), so a stopped server can be restarted.
+// Owns the listener, the reactor threads, and the admin offload pool.
+// Built on Start() and destroyed on Stop(), so a stopped server can be
+// restarted.
 class ReactorCore {
  public:
   ReactorCore(const HttpHandler* handler, const HttpServerOptions& options,
@@ -519,11 +547,21 @@ class ReactorCore {
   int listen_fd() const { return listen_fd_.load(std::memory_order_acquire); }
   bool stopping() const { return stopping_.load(std::memory_order_acquire); }
 
+  // Picks the reactor with the fewest open connections and counts the
+  // new one against it. Serialised, so that concurrent accepts on two
+  // reactors cannot both pick the same one.
+  Reactor* Place();
+  // Runs the handler; an exception becomes a 500 error envelope.
+  HttpResponse Invoke(const HttpRequest& request) const;
+  // The pool admin requests run on, started by the first one — today's
+  // serving processes rarely see any, and an idle pool is threads for
+  // nothing.
+  ThreadPool& admin_pool();
+
   const HttpHandler* handler_;
   const HttpServerOptions options_;
   ServerCounters* counters_;
   MetricHistogram* loop_lag_;
-  std::unique_ptr<ThreadPool> workers_;
 
  private:
   std::atomic<int> listen_fd_{-1};
@@ -531,10 +569,16 @@ class ReactorCore {
   std::atomic<bool> stopping_{false};
   std::vector<std::unique_ptr<Reactor>> reactors_;
   std::vector<std::thread> threads_;
+  std::mutex place_mutex_;
+  std::once_flag admin_once_;
+  std::unique_ptr<ThreadPool> admin_pool_;
 };
 
 Reactor::~Reactor() {
   ForceCloseAll();
+  // A connection handed over after this loop's last inbox pass was never
+  // admitted.
+  for (int fd : adopted_) DropAdopted(fd);
   if (wake_fd_ >= 0) ::close(wake_fd_);
   if (epoll_fd_ >= 0) ::close(epoll_fd_);
 }
@@ -552,8 +596,9 @@ Status Reactor::Init(bool shared_listener) {
   }
   epoll_event listener{};
   // EPOLLEXCLUSIVE stops the thundering herd when several reactors share
-  // the listener; with one reactor it is pointless (and EPOLL_CTL_MOD on
-  // an exclusive fd is an error), so plain EPOLLIN suffices.
+  // the listener, and skips a reactor that is busy in a handler; with
+  // one reactor it is pointless (and EPOLL_CTL_MOD on an exclusive fd is
+  // an error), so plain EPOLLIN suffices.
   listener.events = EPOLLIN | (shared_listener ? EPOLLEXCLUSIVE : 0u);
   listener.data.u64 = kListenerTag;
   if (::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, core_->listen_fd(), &listener) !=
@@ -568,9 +613,17 @@ void Reactor::Wake() {
   [[maybe_unused]] const ssize_t n = ::write(wake_fd_, &one, sizeof(one));
 }
 
+void Reactor::Adopt(int fd) {
+  {
+    std::lock_guard<std::mutex> lock(inbox_mutex_);
+    adopted_.push_back(fd);
+  }
+  Wake();
+}
+
 void Reactor::PostCompletion(uint64_t id, int fd, HttpResponse response) {
   {
-    std::lock_guard<std::mutex> lock(completions_mutex_);
+    std::lock_guard<std::mutex> lock(inbox_mutex_);
     completions_.push_back(Completion{id, fd, std::move(response)});
   }
   Wake();
@@ -581,7 +634,7 @@ void Reactor::Run() {
   while (true) {
     const uint64_t now_ms = SteadyMs();
     HandleTicks(now_ms);
-    ApplyCompletions();
+    ApplyInbox();
     if (core_->stopping()) {
       if (drain_deadline_ms_ == 0) {
         drain_deadline_ms_ = now_ms + core_->options_.drain_timeout_ms;
@@ -589,9 +642,13 @@ void Reactor::Run() {
       }
       if (conns_.empty() || now_ms >= drain_deadline_ms_) break;
     }
+    // With no connection there is no deadline to tick: sleep until the
+    // listener, a handed-over connection, or Stop() wakes the loop.
+    const int timeout_ms = conns_.empty() && !core_->stopping()
+                               ? -1
+                               : static_cast<int>(kTickMs);
     const int n = ::epoll_wait(epoll_fd_, events.data(),
-                               static_cast<int>(events.size()),
-                               static_cast<int>(kTickMs));
+                               static_cast<int>(events.size()), timeout_ms);
     const uint64_t batch_start_us = SteadyUs();
     for (int i = 0; i < n; ++i) {
       const epoll_event& event = events[i];
@@ -612,11 +669,14 @@ void Reactor::Run() {
         CloseConnection(c);
         continue;
       }
-      bool alive = true;
-      if (event.events & EPOLLIN) alive = HandleReadable(c);
-      if (alive && (event.events & EPOLLOUT)) ContinueWrite(c);
+      if (event.events & EPOLLIN) {
+        HandleReadable(c);
+      } else if ((event.events & EPOLLOUT) && ContinueWrite(c) &&
+                 c->state == ConnState::kReadHeader) {
+        ServeBuffered(c);  // requests pipelined behind the parked write
+      }
     }
-    ApplyCompletions();
+    ApplyInbox();
     core_->counters_->loop_iterations.fetch_add(1, std::memory_order_relaxed);
     if (n > 0 && core_->loop_lag_ != nullptr) {
       core_->loop_lag_->Record(SteadyUs() - batch_start_us);
@@ -681,7 +741,15 @@ void Reactor::HandleAccept() {
       Shed(fd);
       continue;
     }
-    Admit(fd);
+    // Count the connection now, so the cap and the next placement see it
+    // before its owner gets round to admitting it.
+    core_->counters_->open.fetch_add(1, std::memory_order_relaxed);
+    Reactor* owner = core_->Place();
+    if (owner == this) {
+      Admit(fd);
+    } else {
+      owner->Adopt(fd);
+    }
   }
 }
 
@@ -696,11 +764,10 @@ void Reactor::Admit(int fd) {
   event.events = EPOLLIN;
   event.data.ptr = c;
   if (::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, fd, &event) != 0) {
-    ::close(fd);
+    DropAdopted(fd);
     return;
   }
   conns_[fd] = std::move(owned);
-  core_->counters_->open.fetch_add(1, std::memory_order_relaxed);
   core_->counters_->accepted.fetch_add(1, std::memory_order_relaxed);
   if (core_->options_.idle_timeout_ms > 0) {
     Schedule(c, SteadyMs() + core_->options_.idle_timeout_ms, /*idle=*/true);
@@ -720,6 +787,42 @@ void Reactor::Shed(int fd) {
   ::close(fd);
 }
 
+// Closes a handed-over connection that never made it into conns_.
+void Reactor::DropAdopted(int fd) {
+  ::close(fd);
+  core_->counters_->open.fetch_sub(1, std::memory_order_relaxed);
+  load_.fetch_sub(1, std::memory_order_relaxed);
+}
+
+void Reactor::ApplyInbox() {
+  std::vector<int> adopted;
+  std::vector<Completion> completions;
+  {
+    std::lock_guard<std::mutex> lock(inbox_mutex_);
+    adopted.swap(adopted_);
+    completions.swap(completions_);
+  }
+  for (int fd : adopted) {
+    if (core_->stopping()) {
+      DropAdopted(fd);
+    } else {
+      Admit(fd);
+    }
+  }
+  for (Completion& done : completions) {
+    auto it = conns_.find(done.fd);
+    if (it == conns_.end()) continue;
+    Connection* c = it->second.get();
+    // The id check rejects completions for a connection that was closed
+    // mid-dispatch and whose fd the kernel already recycled.
+    if (c->id != done.id || c->state != ConnState::kDispatch) continue;
+    if (QueueResponse(c, done.response, c->keep_alive) &&
+        c->state == ConnState::kReadHeader) {
+      ServeBuffered(c);  // requests pipelined behind the admin call
+    }
+  }
+}
+
 bool Reactor::HandleReadable(Connection* c) {
   SERENADE_FAULT_POINT(FaultSite::kHttpServerStallRead, {
     // Simulated reactor stall: skip this readiness round. Level-triggered
@@ -730,9 +833,6 @@ bool Reactor::HandleReadable(Connection* c) {
   while (true) {
     const ssize_t n = ::recv(c->fd, chunk, sizeof(chunk), 0);
     if (n > 0) {
-      if (c->state == ConnState::kReadHeader && c->request_start_us == 0) {
-        StartRequestTimer(c);
-      }
       c->in.append(chunk, static_cast<size_t>(n));
       if (static_cast<size_t>(n) < sizeof(chunk)) break;  // likely drained
       continue;
@@ -746,42 +846,47 @@ bool Reactor::HandleReadable(Connection* c) {
     CloseConnection(c);
     return false;
   }
-  return TryParse(c);
+  return ServeBuffered(c);
 }
 
-bool Reactor::TryParse(Connection* c) {
-  if (c->state == ConnState::kReadHeader) {
-    const ParseHeadResult result = ParseRequestHead(
-        c->in, &c->request, &c->keep_alive, &c->header_bytes, &c->body_length);
-    switch (result) {
-      case ParseHeadResult::kNeedMore:
-        if (c->in.size() > kMaxHeaderBytes) {
+// Serves the complete requests buffered on `c` one after another — a loop,
+// so a deep pipeline cannot deepen the stack. Stops when the buffer holds
+// no complete request, a response write is parked on EPOLLOUT, or an admin
+// request went to the offload pool.
+bool Reactor::ServeBuffered(Connection* c) {
+  while (c->state == ConnState::kReadHeader ||
+         c->state == ConnState::kReadBody) {
+    if (c->state == ConnState::kReadHeader) {
+      if (c->request_start_us == 0 && !c->in.empty()) StartRequestTimer(c);
+      switch (ParseRequestHead(c->in, &c->request, &c->keep_alive,
+                               &c->header_bytes, &c->body_length)) {
+        case ParseHeadResult::kNeedMore:
+          if (c->in.size() > kMaxHeaderBytes) {
+            return QueueResponse(c, ApiError(400, "malformed request"),
+                                 /*keep_alive=*/false);
+          }
+          if (c->peer_eof) {
+            CloseConnection(c);
+            return false;
+          }
+          return true;
+        case ParseHeadResult::kMalformed:
           return QueueResponse(c, ApiError(400, "malformed request"),
                                /*keep_alive=*/false);
-        }
-        if (c->peer_eof) {
-          CloseConnection(c);
-          return false;
-        }
-        return true;
-      case ParseHeadResult::kMalformed:
-        return QueueResponse(c, ApiError(400, "malformed request"),
-                             /*keep_alive=*/false);
-      case ParseHeadResult::kOversized:
-        // Fail fast: the declared length alone condemns the request; the
-        // body is never buffered and the connection closes after the 413
-        // (it is unusable with the unread payload in flight).
-        return QueueResponse(
-            c,
-            ApiError(413, "request body exceeds the " +
-                              std::to_string(kMaxBodyBytes) + "-byte limit"),
-            /*keep_alive=*/false);
-      case ParseHeadResult::kOk:
-        c->state = ConnState::kReadBody;
-        break;
+        case ParseHeadResult::kOversized:
+          // Fail fast: the declared length alone condemns the request;
+          // the body is never buffered and the connection closes after
+          // the 413 (it is unusable with the unread payload in flight).
+          return QueueResponse(
+              c,
+              ApiError(413, "request body exceeds the " +
+                                std::to_string(kMaxBodyBytes) + "-byte limit"),
+              /*keep_alive=*/false);
+        case ParseHeadResult::kOk:
+          c->state = ConnState::kReadBody;
+          break;
+      }
     }
-  }
-  if (c->state == ConnState::kReadBody) {
     const size_t total = c->header_bytes + c->body_length;
     if (c->in.size() < total) {
       if (c->peer_eof) {
@@ -792,51 +897,47 @@ bool Reactor::TryParse(Connection* c) {
     }
     c->request.body = c->in.substr(c->header_bytes, c->body_length);
     c->in.erase(0, total);
-    Dispatch(c);
+    if (!Dispatch(c)) return false;
   }
   return true;
 }
 
-void Reactor::Dispatch(Connection* c) {
+bool Reactor::Dispatch(Connection* c) {
   c->state = ConnState::kDispatch;
   c->request.parse_micros = SteadyUs() - c->request_start_us;
-  // Drop read interest while the handler runs: level-triggered epoll
-  // would otherwise spin on buffered pipelined bytes. EPOLLHUP/ERR are
-  // still delivered on a zero mask, so a dying peer frees its slot.
+  if (IsAdminPath(c->request.path)) {
+    Offload(c);
+    return true;
+  }
+  const HttpResponse response = core_->Invoke(c->request);
+  c->request = HttpRequest{};
+  const uint64_t deadline_ms = core_->options_.request_deadline_ms;
+  if (deadline_ms > 0 &&
+      SteadyUs() - c->request_start_us >= deadline_ms * 1000) {
+    // The wheel cannot fire while a handler holds this thread, so an
+    // overdue request is caught here and closed unanswered.
+    core_->counters_->deadline_timeouts.fetch_add(1,
+                                                  std::memory_order_relaxed);
+    CloseConnection(c);
+    return false;
+  }
+  return QueueResponse(c, response, c->keep_alive);
+}
+
+void Reactor::Offload(Connection* c) {
+  // Drop read interest while the pool runs the handler: level-triggered
+  // epoll would otherwise spin on buffered pipelined bytes. EPOLLHUP/ERR
+  // are still delivered on a zero mask, so a dying peer frees its slot.
   UpdateInterest(c, 0);
+  // Admin calls can run for seconds: only a request deadline may cut
+  // them short, never the idle timer.
   if (core_->options_.request_deadline_ms == 0) Unschedule(c);
   HttpRequest request = std::move(c->request);
   c->request = HttpRequest{};
-  const uint64_t id = c->id;
-  const int fd = c->fd;
-  core_->workers_->Schedule([this, id, fd, request = std::move(request)] {
-    HttpResponse response;
-    try {
-      response = (*core_->handler_)(request);
-    } catch (const std::exception& e) {
-      LOG_ERROR << "handler threw: " << e.what();
-      response = HttpResponse::Error(500, "internal error");
-    }
-    core_->counters_->requests.fetch_add(1, std::memory_order_relaxed);
-    PostCompletion(id, fd, std::move(response));
-  });
-}
-
-void Reactor::ApplyCompletions() {
-  std::vector<Completion> batch;
-  {
-    std::lock_guard<std::mutex> lock(completions_mutex_);
-    batch.swap(completions_);
-  }
-  for (Completion& done : batch) {
-    auto it = conns_.find(done.fd);
-    if (it == conns_.end()) continue;
-    Connection* c = it->second.get();
-    // The id check rejects completions for a connection that was closed
-    // mid-dispatch and whose fd the kernel already recycled.
-    if (c->id != done.id || c->state != ConnState::kDispatch) continue;
-    QueueResponse(c, done.response, c->keep_alive);
-  }
+  core_->admin_pool().Schedule(
+      [this, id = c->id, fd = c->fd, request = std::move(request)] {
+        PostCompletion(id, fd, core_->Invoke(request));
+      });
 }
 
 bool Reactor::QueueResponse(Connection* c, const HttpResponse& response,
@@ -889,6 +990,8 @@ bool Reactor::ContinueWrite(Connection* c) {
   return FinishResponse(c);
 }
 
+// Returns the connection to kReadHeader; the caller serves whatever is
+// already buffered behind the response.
 bool Reactor::FinishResponse(Connection* c) {
   c->out.clear();
   c->out.shrink_to_fit();  // a large response must not pin idle memory
@@ -904,16 +1007,6 @@ bool Reactor::FinishResponse(Connection* c) {
     Schedule(c, SteadyMs() + core_->options_.idle_timeout_ms, /*idle=*/true);
   } else {
     Unschedule(c);
-  }
-  if (!c->in.empty()) {
-    // Pipelined keep-alive: the next request (or part of it) is already
-    // buffered — parse it now instead of waiting for more bytes.
-    StartRequestTimer(c);
-    return TryParse(c);
-  }
-  if (c->peer_eof) {
-    CloseConnection(c);
-    return false;
   }
   return true;
 }
@@ -964,6 +1057,7 @@ void Reactor::CloseConnection(Connection* c) {
   // Gauge drops before the peer can observe the FIN, so "saw the close"
   // implies "no longer counted" for external observers.
   core_->counters_->open.fetch_sub(1, std::memory_order_relaxed);
+  load_.fetch_sub(1, std::memory_order_relaxed);
   ::close(c->fd);
   conns_.erase(c->fd);  // frees c
 }
@@ -991,6 +1085,39 @@ void Reactor::ForceCloseAll() {
   while (!conns_.empty()) CloseConnection(conns_.begin()->second.get());
 }
 
+Reactor* ReactorCore::Place() {
+  std::lock_guard<std::mutex> lock(place_mutex_);
+  Reactor* best = reactors_.front().get();
+  for (const auto& reactor : reactors_) {
+    if (reactor->load_.load(std::memory_order_relaxed) <
+        best->load_.load(std::memory_order_relaxed)) {
+      best = reactor.get();
+    }
+  }
+  best->load_.fetch_add(1, std::memory_order_relaxed);
+  return best;
+}
+
+HttpResponse ReactorCore::Invoke(const HttpRequest& request) const {
+  HttpResponse response;
+  try {
+    response = (*handler_)(request);
+  } catch (const std::exception& e) {
+    LOG_ERROR << "handler threw: " << e.what();
+    response = ApiError(500, "internal error");
+  }
+  counters_->requests.fetch_add(1, std::memory_order_relaxed);
+  return response;
+}
+
+ThreadPool& ReactorCore::admin_pool() {
+  std::call_once(admin_once_, [this] {
+    admin_pool_ = std::make_unique<ThreadPool>(
+        std::max<size_t>(4, std::thread::hardware_concurrency()));
+  });
+  return *admin_pool_;
+}
+
 Status ReactorCore::Start(uint16_t port) {
   const int fd =
       ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
@@ -1014,12 +1141,6 @@ Status ReactorCore::Start(uint16_t port) {
   ::getsockname(fd, reinterpret_cast<sockaddr*>(&address), &length);
   port_ = ntohs(address.sin_port);
   listen_fd_.store(fd, std::memory_order_release);
-
-  size_t worker_count = options_.worker_threads;
-  if (worker_count == 0) {
-    worker_count = std::max<size_t>(4, std::thread::hardware_concurrency());
-  }
-  workers_ = std::make_unique<ThreadPool>(worker_count);
 
   const size_t reactor_count = std::max<size_t>(1, options_.reactor_threads);
   for (size_t i = 0; i < reactor_count; ++i) {
@@ -1046,10 +1167,10 @@ void ReactorCore::Shutdown() {
     if (thread.joinable()) thread.join();
   }
   threads_.clear();
-  // The pool drains queued handler tasks; their completions post into
+  // The pool drains queued admin handlers; their completions post into
   // still-live reactor objects (harmless — the loops have exited) and
   // must happen before the reactors and their eventfds are destroyed.
-  workers_.reset();
+  admin_pool_.reset();
   reactors_.clear();
 }
 

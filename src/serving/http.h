@@ -1,7 +1,8 @@
 // Minimal HTTP/1.1 server and client over POSIX sockets — the stand-in
-// for the Actix web framework the paper's Rust implementation uses. The
-// server is an epoll reactor with a fixed worker pool: connection count
-// is decoupled from thread count, so thousands of idle keep-alive
+// for the Actix web framework the paper's Rust implementation uses. Like
+// Actix, the server runs one epoll event loop per core and serves each
+// request on the loop that owns its connection: connection count is
+// decoupled from thread count, so thousands of idle keep-alive
 // connections cost file descriptors, not stacks. The client supports
 // keep-alive request pipelining for the load generator.
 #pragma once
@@ -61,12 +62,24 @@ struct HttpResponse {
 
   static HttpResponse Json(std::string body);
   static HttpResponse Text(std::string body, std::string content_type);
-  static HttpResponse Error(int status, const std::string& message);
 };
 
-/// Request handler; invoked concurrently from worker-pool threads (never
-/// on the event loop).
+/// Request handler, invoked concurrently from several threads. A request
+/// runs on the reactor thread that owns its connection, so a handler
+/// blocks that loop's other connections while it runs; the exception is
+/// any path under kAdminPathPrefix, which runs on a small offload pool
+/// because admin calls (reloads, hand-offs, membership changes) can
+/// block for seconds. A handler that throws is answered with a 500 error
+/// envelope.
 using HttpHandler = std::function<HttpResponse(const HttpRequest&)>;
+
+/// Requests whose path starts with this prefix are handled off the event
+/// loop (see HttpHandler).
+inline constexpr char kAdminPathPrefix[] = "/v1/admin/";
+
+/// The number of CPUs this process may run on (its sched_getaffinity
+/// mask), at least 1 — the default reactor count.
+size_t UsableCpuCount();
 
 /// Builds the unified API error envelope shared by both serving tiers:
 ///   {"error":{"code":"not_found","message":"...","trace_id":"..."}}
@@ -124,16 +137,18 @@ struct HttpServerOptions {
   /// still hit it. 0 disables.
   uint64_t idle_timeout_ms = 60000;
   /// Wall-clock budget for one request, measured from its first byte
-  /// through body read, dispatch, and response write; on expiry the
-  /// connection is closed (the response can no longer be trusted to
-  /// arrive in time). 0 disables.
+  /// through body read, dispatch, and response write; an overdue request
+  /// is closed unanswered and counted as a deadline timeout (the response
+  /// can no longer be trusted to arrive in time). The timer wheel enforces
+  /// it while the request is read or written and while an admin request
+  /// runs off the loop; an inline handler cannot be interrupted, so its
+  /// request is checked when the handler returns. 0 disables.
   uint64_t request_deadline_ms = 0;
-  /// Event-loop threads. Each runs its own epoll instance and timer
-  /// wheel; the listener is shared via EPOLLEXCLUSIVE.
-  size_t reactor_threads = 1;
-  /// Handler threads (Router dispatch runs here, never on the event
-  /// loop). 0 = max(4, hardware_concurrency()).
-  size_t worker_threads = 0;
+  /// Event-loop threads, one per usable CPU by default. Each runs its own
+  /// epoll instance and timer wheel and serves the connections it owns;
+  /// the loop that accepts a connection hands it to the loop with the
+  /// fewest open connections.
+  size_t reactor_threads = UsableCpuCount();
   /// Retry-After seconds stamped on connection-cap 503 sheds.
   int retry_after_seconds = 1;
   /// Stop() grace period for in-flight requests: idle connections close
@@ -161,8 +176,9 @@ struct ServerCounters;
 /// Event-driven HTTP server: N reactor threads multiplex nonblocking
 /// connections through per-connection state machines (read-headers →
 /// read-body → dispatch → write-response, with partial-write resume and
-/// pipelined keep-alive), handlers run on a fixed worker pool, and a
-/// hashed timer wheel enforces idle/deadline timeouts. See DESIGN.md §10.
+/// pipelined keep-alive). Handlers run inline on the owning reactor
+/// (admin paths on an offload pool), and a hashed timer wheel enforces
+/// idle/deadline timeouts. See DESIGN.md §10.
 class HttpServer {
  public:
   explicit HttpServer(HttpHandler handler, HttpServerOptions options = {});
@@ -176,7 +192,7 @@ class HttpServer {
 
   /// Graceful shutdown: stops accepting, closes idle connections, drains
   /// in-flight requests (bounded by drain_timeout_ms), joins the reactor
-  /// and worker threads. Idempotent; Start() may be called again after.
+  /// and admin-pool threads. Idempotent; Start() may be called again after.
   void Stop();
 
   /// The bound port (valid after Start()).

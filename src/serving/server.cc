@@ -482,7 +482,7 @@ HttpResponse SerenadeServer::HandleRecommendBatch(const HttpRequest& request,
     request_slots.push_back(i);
   }
   std::vector<BatchExecutor::Result> executed =
-      executor_->ExecuteBatch(requests);
+      executor_->ExecuteBatch(requests, trace);
   if (write_hooks_.divert && write_hooks_.done) {
     for (const RecommendRequest& request : requests) {
       write_hooks_.done(request.session_key);

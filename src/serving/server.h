@@ -79,8 +79,8 @@ struct ServerConfig {
   TraceConfig trace;
   /// Retry-After stamped on every 503 connection-shed response, seconds.
   uint64_t retry_after_seconds = 1;
-  /// Reactor tuning (connection cap, idle/deadline timeouts, thread
-  /// counts).
+  /// Reactor tuning (connection cap, idle/deadline timeouts, reactor
+  /// count).
   HttpServerOptions http;
 };
 

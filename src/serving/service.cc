@@ -245,7 +245,7 @@ StatusOr<std::vector<ScoredItem>> SerenadeService::HandleUpdateAndRecommend(
 
 std::vector<StatusOr<std::vector<ScoredItem>>>
 SerenadeService::HandleUpdateAndRecommendBatch(
-    const std::vector<RecommendRequest>& requests) {
+    const std::vector<RecommendRequest>& requests, Trace* trace) {
   std::vector<StatusOr<std::vector<ScoredItem>>> results(
       requests.size(), Status::Internal("batch slot not filled"));
   if (requests.empty()) return results;
@@ -276,7 +276,9 @@ SerenadeService::HandleUpdateAndRecommendBatch(
   }
   std::vector<std::string> stored;
   std::vector<bool> found;
+  Span get_span(trace, TraceStage::kStoreGet);
   store_->MultiGet(keys, &stored, &found);
+  get_span.End();
 
   std::vector<EvolvingSession> sessions(keys.size());
   for (size_t k = 0; k < keys.size(); ++k) {
@@ -305,7 +307,10 @@ SerenadeService::HandleUpdateAndRecommendBatch(
   for (size_t k = 0; k < keys.size(); ++k) {
     entries.emplace_back(keys[k], EncodeSession(sessions[k]));
   }
-  if (const Status put_status = store_->MultiPut(entries); !put_status.ok()) {
+  Span put_span(trace, TraceStage::kStorePut);
+  const Status put_status = store_->MultiPut(entries);
+  put_span.End();
+  if (!put_status.ok()) {
     for (size_t i : valid) results[i] = put_status;
     return results;
   }
@@ -321,6 +326,7 @@ SerenadeService::HandleUpdateAndRecommendBatch(
     any_ann |= resolved[i] == EngineKind::kAnn;
   }
 
+  Span pin_span(trace, TraceStage::kSnapshotPin);
   const std::shared_ptr<const IndexSnapshot> snapshot = manager_->Current();
   PooledRecommender entry = AcquireRecommender(snapshot);
   std::shared_ptr<const EmbeddingSnapshot> embedding_snapshot;
@@ -331,14 +337,18 @@ SerenadeService::HandleUpdateAndRecommendBatch(
                                            &embedding_snapshot->ann(),
                                            config_.ann);
   }
+  pin_span.End();
 
   for (size_t i : valid) {
     Recommender& engine =
         resolved[i] == EngineKind::kAnn
             ? static_cast<Recommender&>(*ann)
             : static_cast<Recommender&>(*entry.recommender);
+    Span knn_span(trace, TraceStage::kKnnRetrieve);
     const std::vector<ScoredItem> raw =
         engine.RecommendNext(predict[i], config_.rules.max_items * 2 + 8);
+    knn_span.End();
+    Span rank_span(trace, TraceStage::kRank);
     results[i] = ApplyBusinessRules(raw, catalog_, config_.rules);
   }
   ReleaseRecommender(std::move(entry));

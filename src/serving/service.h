@@ -105,8 +105,12 @@ class SerenadeService {
   /// failures (validation, a failed WAL write) surface in that slot only
   /// — one bad request never fails its batch siblings. Duplicate session
   /// keys are applied in batch order, so results match sequential calls.
+  /// A non-null `trace` receives one store_get (the MultiGet), store_put
+  /// (the MultiPut) and snapshot_pin span, plus a knn_retrieve and a rank
+  /// span per scored slot.
   std::vector<StatusOr<std::vector<ScoredItem>>>
-  HandleUpdateAndRecommendBatch(const std::vector<RecommendRequest>& requests);
+  HandleUpdateAndRecommendBatch(const std::vector<RecommendRequest>& requests,
+                                Trace* trace = nullptr);
 
   /// Reads the stored evolving session (diagnostics / tests).
   StatusOr<EvolvingSession> GetSession(const std::string& session_key);

@@ -107,7 +107,7 @@ HttpHandler PodHandler(const std::string& pod_name,
       return HttpResponse::Json("{\"items\":[1,2],\"scores\":[2.0,1.0],"
                                 "\"pod\":\"" + pod_name + "\"}");
     }
-    return HttpResponse::Error(404, "unknown path");
+    return ApiError(404, "unknown path");
   };
 }
 

@@ -11,6 +11,8 @@
 
 #include <gtest/gtest.h>
 
+#include "serving/json.h"
+
 namespace serenade {
 namespace {
 
@@ -153,6 +155,62 @@ TEST(HttpServerTest, HandlerExceptionYields500) {
   auto response = client.Get("/explode");
   ASSERT_TRUE(response.ok());
   EXPECT_EQ(response->status, 500);
+  // The same envelope every other error carries.
+  auto doc = ParseJson(response->body);
+  ASSERT_TRUE(doc.ok()) << response->body;
+  const JsonValue* error = doc->Find("error");
+  ASSERT_NE(error, nullptr) << response->body;
+  ASSERT_NE(error->Find("code"), nullptr) << response->body;
+  EXPECT_EQ(error->Find("code")->AsString(), "internal");
+  server.Stop();
+}
+
+// Every status the serving tiers send goes out with its reason phrase.
+TEST(HttpServerTest, StatusLinesCarryReasonPhrases) {
+  HttpServer server([](const HttpRequest& request) {
+    HttpResponse response;
+    response.status = std::stoi(request.Param("status"));
+    return response;
+  });
+  ASSERT_TRUE(server.Start(0).ok());
+  const std::pair<int, const char*> kStatusLines[] = {
+      {200, "HTTP/1.1 200 OK"},
+      {204, "HTTP/1.1 204 No Content"},
+      {307, "HTTP/1.1 307 Temporary Redirect"},
+      {400, "HTTP/1.1 400 Bad Request"},
+      {404, "HTTP/1.1 404 Not Found"},
+      {405, "HTTP/1.1 405 Method Not Allowed"},
+      {409, "HTTP/1.1 409 Conflict"},
+      {413, "HTTP/1.1 413 Payload Too Large"},
+      {429, "HTTP/1.1 429 Too Many Requests"},
+      {500, "HTTP/1.1 500 Internal Server Error"},
+      {502, "HTTP/1.1 502 Bad Gateway"},
+      {503, "HTTP/1.1 503 Service Unavailable"},
+      {504, "HTTP/1.1 504 Gateway Timeout"},
+  };
+  for (const auto& [status, line] : kStatusLines) {
+    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+    ASSERT_GE(fd, 0);
+    sockaddr_in address{};
+    address.sin_family = AF_INET;
+    address.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    address.sin_port = htons(server.port());
+    ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&address),
+                        sizeof(address)),
+              0);
+    const std::string request = "GET /s?status=" + std::to_string(status) +
+                                " HTTP/1.1\r\nConnection: close\r\n\r\n";
+    ASSERT_EQ(::send(fd, request.data(), request.size(), MSG_NOSIGNAL),
+              static_cast<ssize_t>(request.size()));
+    std::string response;
+    char chunk[1024];
+    ssize_t n;
+    while ((n = ::recv(fd, chunk, sizeof(chunk), 0)) > 0) {
+      response.append(chunk, static_cast<size_t>(n));
+    }
+    ::close(fd);
+    EXPECT_EQ(response.substr(0, response.find("\r\n")), line);
+  }
   server.Stop();
 }
 

@@ -1,7 +1,8 @@
 // Integration tests for the epoll reactor behind HttpServer: behaviors a
 // well-behaved HttpClient cannot exercise — slowloris peers, pipelined
 // requests, partial-write backpressure, admission-cap shedding, deadline
-// enforcement, and draining shutdown. Most tests speak raw TCP.
+// enforcement, draining shutdown, connection placement across reactors,
+// and the admin offload. Most tests speak raw TCP.
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <sys/socket.h>
@@ -9,6 +10,9 @@
 
 #include <atomic>
 #include <chrono>
+#include <future>
+#include <map>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -250,11 +254,11 @@ TEST(ReactorTest, RequestDeadlineClosesOverdueRequest) {
   ASSERT_TRUE(SendAll(fd, "GET /slow HTTP/1.1\r\nHost: x\r\n\r\n"));
   const std::string received = RecvUntilClose(fd);
   ::close(fd);
-  // The deadline fires mid-dispatch: the connection closes with no
-  // response, and the worker's late completion is discarded.
+  // The handler runs on the reactor, so the deadline is checked when it
+  // returns: the overdue request is closed with no response.
   EXPECT_TRUE(received.empty()) << received;
   EXPECT_GE(server.stats().deadline_timeouts, 1u);
-  server.Stop();  // drains the still-sleeping worker
+  server.Stop();
   EXPECT_EQ(server.stats().open_connections, 0u);
 }
 
@@ -320,6 +324,121 @@ TEST(ReactorTest, MultiReactorServesConcurrentClients) {
   EXPECT_EQ(failures.load(), 0);
   EXPECT_EQ(server.requests_served(),
             static_cast<uint64_t>(kClients * kRequests));
+  server.Stop();
+}
+
+TEST(ReactorTest, ConnectionsSpreadEvenlyAcrossReactors) {
+  HttpServerOptions options;
+  options.reactor_threads = 4;
+  // Each request is answered with the id of the thread that ran it — the
+  // reactor that owns its connection.
+  HttpServer server(
+      [](const HttpRequest&) {
+        std::ostringstream thread_id;
+        thread_id << std::this_thread::get_id();
+        HttpResponse response;
+        response.body = thread_id.str();
+        response.content_type = "text/plain";
+        return response;
+      },
+      options);
+  ASSERT_TRUE(server.Start(0).ok());
+
+  // All eight stay open, so each placement sees the ones before it.
+  constexpr int kConnections = 8;
+  std::vector<std::unique_ptr<HttpClient>> clients;
+  for (int i = 0; i < kConnections; ++i) {
+    clients.push_back(std::make_unique<HttpClient>());
+    ASSERT_TRUE(clients.back()->Connect(server.port()).ok());
+  }
+  std::map<std::string, int> connections_per_thread;
+  for (auto& client : clients) {
+    auto first = client->Get("/who");
+    auto second = client->Get("/who");
+    ASSERT_TRUE(first.ok() && second.ok());
+    EXPECT_EQ(first->body, second->body) << "a connection changed threads";
+    ++connections_per_thread[first->body];
+  }
+  EXPECT_EQ(connections_per_thread.size(), 4u);
+  for (const auto& [thread, connections] : connections_per_thread) {
+    EXPECT_EQ(connections, 2) << "thread " << thread;
+  }
+  server.Stop();
+}
+
+TEST(ReactorTest, BlockedAdminRequestDoesNotDelayDataPlane) {
+  // One reactor: a data-plane request can only be answered while the
+  // admin request is stuck if the admin handler is off the event loop.
+  HttpServerOptions options;
+  options.reactor_threads = 1;
+  std::promise<void> admin_entered;
+  std::promise<void> release_admin;
+  std::shared_future<void> released = release_admin.get_future().share();
+  HttpServer server(
+      [&admin_entered, released](const HttpRequest& request) {
+        HttpResponse response;
+        response.content_type = "text/plain";
+        if (request.path.rfind(kAdminPathPrefix, 0) == 0) {
+          admin_entered.set_value();
+          released.wait();
+          response.body = "admin done";
+        } else {
+          response.body = "data";
+        }
+        return response;
+      },
+      options);
+  ASSERT_TRUE(server.Start(0).ok());
+  const uint16_t port = server.port();
+
+  StatusOr<HttpResponse> admin = Status::Internal("not run");
+  std::thread admin_caller([&admin, port] {
+    HttpClient client;
+    if (client.Connect(port).ok()) admin = client.Post("/v1/admin/slow", "{}");
+  });
+  admin_entered.get_future().wait();
+
+  // The recv timeout only bounds a regression; the order of events is
+  // what the test checks.
+  HttpClient client(HttpClientOptions{.io_timeout_ms = 5000});
+  ASSERT_TRUE(client.Connect(port).ok());
+  auto data = client.Get("/v1/recommend");
+  release_admin.set_value();
+  admin_caller.join();
+
+  ASSERT_TRUE(data.ok()) << data.status().ToString();
+  EXPECT_EQ(data->body, "data");
+  ASSERT_TRUE(admin.ok()) << admin.status().ToString();
+  EXPECT_EQ(admin->body, "admin done");
+  server.Stop();
+}
+
+TEST(ReactorTest, ThousandPipelinedRequestsInOneSendAnsweredInOrder) {
+  HttpServer server(EchoHandler);
+  ASSERT_TRUE(server.Start(0).ok());
+
+  constexpr int kRequests = 1000;
+  std::string pipeline;
+  for (int i = 0; i < kRequests; ++i) {
+    pipeline +=
+        "GET /p?q=" + std::to_string(i) + " HTTP/1.1\r\nHost: x\r\n\r\n";
+  }
+  const int fd = RawConnect(server.port());
+  ASSERT_GE(fd, 0);
+  ASSERT_EQ(::send(fd, pipeline.data(), pipeline.size(), MSG_NOSIGNAL),
+            static_cast<ssize_t>(pipeline.size()));
+  const std::string marker = "GET /p q=";
+  std::string received;
+  ASSERT_TRUE(RecvUntilCount(fd, marker, kRequests, &received));
+  ::close(fd);
+  size_t at = 0;
+  for (int i = 0; i < kRequests; ++i) {
+    at = received.find(marker, at);
+    ASSERT_NE(at, std::string::npos) << "response " << i;
+    at += marker.size();
+    ASSERT_EQ(std::atoi(received.c_str() + at), i) << "response " << i;
+  }
+  EXPECT_EQ(server.requests_served(), static_cast<uint64_t>(kRequests));
   server.Stop();
 }
 

@@ -528,6 +528,28 @@ TEST_F(V1ApiTest, BatchEndpointPreservesOrderAndIsolatesFailures) {
   EXPECT_FALSE(server_->service().GetSession("b2").ok());
 }
 
+// One :batch call attributes its store, pin, kNN and rank time: each
+// stage series gains exactly one sample (per-slot kNN and rank spans
+// accumulate into the call's one sample).
+TEST_F(V1ApiTest, BatchCallRecordsEveryStage) {
+  StartServer();
+  auto response = client_.Post(
+      "/v1/recommend:batch",
+      "{\"requests\":[{\"session_id\":\"s1\",\"item_id\":3},"
+      "{\"session_id\":\"s2\",\"item_id\":4},"
+      "{\"session_id\":\"s1\",\"item_id\":5}]}");
+  ASSERT_TRUE(response.ok());
+  ASSERT_EQ(response->status, 200) << response->body;
+  const std::string metrics = server_->metrics().RenderPrometheus();
+  for (const char* stage : {"parse", "store_get", "store_put", "snapshot_pin",
+                            "knn_retrieve", "rank", "serialize"}) {
+    EXPECT_NE(metrics.find("serenade_stage_duration_microseconds_count{stage"
+                           "=\"" + std::string(stage) + "\"} 1"),
+              std::string::npos)
+        << "stage " << stage << " in:\n" << metrics;
+  }
+}
+
 TEST_F(V1ApiTest, OversizedBatchGets413) {
   ServerConfig server_config;
   server_config.max_batch_items = 2;

@@ -16,8 +16,8 @@
 //       [--items 5000] [--sessions 20000]
 //       [--slow-request-us 0] [--slow-sample-every 1]
 //       [--max-connections 10000] [--idle-timeout-ms 60000]
-//       [--request-deadline-ms 0] [--reactor-threads 1]
-//       [--worker-threads 0] [--manage-replication]
+//       [--request-deadline-ms 0] [--reactor-threads <CPUs>]
+//       [--manage-replication]
 //       [--ab-ann-percent 0] [--ab-salt 0]
 //
 // Serves the versioned /v1 API (see API.md): GET/POST /v1/recommend
@@ -158,9 +158,8 @@ int main(int argc, char** argv) {
       std::max<uint64_t>(1, flags.GetInt("max-connections", 10000));
   config.http.idle_timeout_ms = flags.GetInt("idle-timeout-ms", 60000);
   config.http.request_deadline_ms = flags.GetInt("request-deadline-ms", 0);
-  config.http.reactor_threads =
-      std::max<uint64_t>(1, flags.GetInt("reactor-threads", 1));
-  config.http.worker_threads = flags.GetInt("worker-threads", 0);
+  config.http.reactor_threads = std::max<uint64_t>(
+      1, flags.GetInt("reactor-threads", config.http.reactor_threads));
   // Elastic fleet data plane (DESIGN.md §12): membership changes run
   // hand-offs / promotion on the pods and rewire their shipping peers.
   config.manage_replication = flags.GetBool("manage-replication", false);

@@ -9,8 +9,7 @@
 //       [--min-session-length 2] [--compact-interval-ms 1000]
 //       [--publish-dir DIR]
 //       [--max-connections 10000] [--idle-timeout-ms 60000]
-//       [--request-deadline-ms 0] [--reactor-threads 1]
-//       [--worker-threads 0]
+//       [--request-deadline-ms 0] [--reactor-threads <CPUs>]
 //
 // --base-version / --base-crc32 / --base-max-timestamp name the full
 // snapshot the deltas layer over (take them from the
@@ -61,9 +60,8 @@ int main(int argc, char** argv) {
       std::max<uint64_t>(1, flags.GetInt("max-connections", 10000));
   config.http.idle_timeout_ms = flags.GetInt("idle-timeout-ms", 60000);
   config.http.request_deadline_ms = flags.GetInt("request-deadline-ms", 0);
-  config.http.reactor_threads =
-      std::max<uint64_t>(1, flags.GetInt("reactor-threads", 1));
-  config.http.worker_threads = flags.GetInt("worker-threads", 0);
+  config.http.reactor_threads = std::max<uint64_t>(
+      1, flags.GetInt("reactor-threads", config.http.reactor_threads));
 
   IndexBuilderServer server(config);
   if (Status status = server.Start(); !status.ok()) {

@@ -6,8 +6,7 @@
 //       [--max-batch-items 128]
 //       [--builder-port 0] [--delta-poll-ms 1000]
 //       [--max-connections 10000] [--idle-timeout-ms 60000]
-//       [--request-deadline-ms 0] [--reactor-threads 1]
-//       [--worker-threads 0]
+//       [--request-deadline-ms 0] [--reactor-threads <CPUs>]
 //       [--pod-name NAME] [--virtual-nodes 128] [--ship-interval-ms 20]
 //       [--embeddings items.emb]
 //
@@ -154,9 +153,8 @@ int main(int argc, char** argv) {
   server_config.http.idle_timeout_ms = flags.GetInt("idle-timeout-ms", 60000);
   server_config.http.request_deadline_ms =
       flags.GetInt("request-deadline-ms", 0);
-  server_config.http.reactor_threads =
-      std::max<uint64_t>(1, flags.GetInt("reactor-threads", 1));
-  server_config.http.worker_threads = flags.GetInt("worker-threads", 0);
+  server_config.http.reactor_threads = std::max<uint64_t>(
+      1, flags.GetInt("reactor-threads", server_config.http.reactor_threads));
   SerenadeServer server(std::move(service).value(), server_config);
 
   // Optional replication agent (DESIGN.md §12): must attach before
